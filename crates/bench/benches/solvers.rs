@@ -1,13 +1,16 @@
 //! Criterion benches for the numerical core: the PDE time-stepper
-//! ablation (DESIGN.md: Crank–Nicolson vs explicit method-of-lines) and
+//! ablation (DESIGN.md: Crank–Nicolson vs explicit method-of-lines, plus
+//! the served-forecast and calibration-objective solve shapes) and
 //! the underlying kernels (tridiagonal solve, spline construction,
 //! Nelder–Mead iteration cost).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dlm_core::calibrate::CalibrationOptions;
 use dlm_core::growth::ExpDecayGrowth;
 use dlm_core::initial::{InitialDensity, PhiConstruction};
+use dlm_core::model::DlModel;
 use dlm_core::params::DlParameters;
-use dlm_core::pde::{solve, SolverConfig, SolverMethod};
+use dlm_core::pde::{solve, solve_at, SolverConfig, SolverMethod};
 use dlm_core::variable::{ConstantField, TimeOnlyField, VariableDlModelBuilder};
 use dlm_numerics::spline::CubicSpline;
 use dlm_numerics::tridiag::{solve_thomas, TridiagonalMatrix};
@@ -53,6 +56,33 @@ fn bench_pde_solvers(c: &mut Criterion) {
             },
         );
     }
+    // The two shapes the serving path solves, both checkpoint-only: a
+    // served `dl` forecast of hours 2..=8, and one calibration-objective
+    // solve at the objective's coarse resolution over the same window.
+    let hours: Vec<u32> = (2..=8).collect();
+    let query_times: Vec<f64> = hours.iter().map(|&h| f64::from(h)).collect();
+    let model = DlModel::paper_hops(&[2.1, 0.7, 0.9, 0.5, 0.3, 0.2]).expect("model");
+    group.bench_function("served_predict_hours_2_to_8", |b| {
+        b.iter(|| {
+            black_box(&model)
+                .predict(&[1, 2, 3, 4, 5, 6], &hours)
+                .expect("predict")
+        });
+    });
+    let calibration = CalibrationOptions::default().solver;
+    group.bench_function("calibration_solve_at_1_to_8", |b| {
+        b.iter(|| {
+            solve_at(
+                black_box(&params),
+                black_box(&growth),
+                black_box(&phi),
+                1.0,
+                &query_times,
+                &calibration,
+            )
+            .expect("solve")
+        });
+    });
     group.finish();
 }
 

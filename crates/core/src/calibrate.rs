@@ -56,7 +56,7 @@ use crate::growth::ExpDecayGrowth;
 use crate::initial::{InitialDensity, PhiConstruction};
 use crate::model::{DlModel, DlModelBuilder};
 use crate::params::DlParameters;
-use crate::pde::{solve, SolverConfig};
+use crate::pde::{solve_at, SolverConfig};
 use dlm_cascade::DensityMatrix;
 use dlm_numerics::optimize::{multi_start_nelder_mead, NelderMeadConfig};
 pub use dlm_numerics::optimize::{MultiStartConfig, MultiStartOutcome};
@@ -210,7 +210,7 @@ pub fn calibrate_profiles(
     }
     let initial_profile = initial_profile.to_vec();
     let targets = targets.to_vec();
-    let t_end = f64::from(targets.iter().map(|&(h, _)| h).max().expect("nonempty"));
+    let query_times: Vec<f64> = targets.iter().map(|&(h, _)| f64::from(h)).collect();
 
     // Parameter vector: [a, b, c, d?, K?] depending on options.
     let mut x0 = vec![
@@ -293,12 +293,12 @@ pub fn calibrate_profiles(
         ) else {
             return f64::INFINITY;
         };
-        let Ok(sol) = solve(
+        let Ok(sol) = solve_at(
             &params,
             &growth,
             &phi,
             f64::from(initial_hour),
-            t_end,
+            &query_times,
             &opts.solver,
         ) else {
             return f64::INFINITY;

@@ -10,7 +10,7 @@ use crate::error::{DlError, Result};
 use crate::growth::{ExpDecayGrowth, GrowthRate};
 use crate::initial::{InitialDensity, PhiConstruction};
 use crate::params::DlParameters;
-use crate::pde::{solve, PdeSolution, SolverConfig};
+use crate::pde::{solve, solve_at, PdeSolution, SolverConfig};
 use crate::predict::FitConfig;
 use std::sync::Arc;
 
@@ -307,6 +307,10 @@ impl DlModel {
 
     /// Predicts densities at the given integer distances and hours.
     ///
+    /// Solves through [`crate::pde::solve_at`], which keeps only the rows
+    /// these hours read; the values equal reading [`DlModel::solve_until`]
+    /// at the same points, bit for bit.
+    ///
     /// # Errors
     ///
     /// * [`DlError::InvalidParameter`] — empty distance/hour lists, or
@@ -330,7 +334,15 @@ impl DlModel {
                 ),
             });
         }
-        let solution = self.solve_until(t_max)?;
+        let query_times: Vec<f64> = hours.iter().map(|&h| f64::from(h)).collect();
+        let solution = solve_at(
+            &self.params,
+            self.growth.as_ref(),
+            &self.phi,
+            self.initial_time,
+            &query_times,
+            &self.solver,
+        )?;
         let mut values = Vec::with_capacity(distances.len());
         for &d in distances {
             let mut row = Vec::with_capacity(hours.len());
@@ -446,6 +458,25 @@ mod tests {
         assert!(sol.times().first().copied().unwrap() == 1.0);
         assert!((sol.times().last().copied().unwrap() - 6.0).abs() < 1e-9);
         assert!(sol.max_value() <= 25.0 + 1e-6);
+    }
+
+    #[test]
+    fn predict_matches_the_full_solve_bit_for_bit() {
+        let model = DlModel::paper_hops(&OBS).unwrap();
+        let distances = [1, 2, 3, 4, 5, 6];
+        let hour_sets: [&[u32]; 4] = [&[2, 3, 4, 5, 6, 7, 8], &[8, 2, 5, 5], &[3], &[2, 4]];
+        for hours in hour_sets {
+            let p = model.predict(&distances, hours).unwrap();
+            let t_max = f64::from(*hours.iter().max().unwrap());
+            let full = model.solve_until(t_max).unwrap();
+            for &d in &distances {
+                for &h in hours {
+                    let want = full.value_at(f64::from(d), f64::from(h)).unwrap();
+                    let got = p.at(d, h).unwrap();
+                    assert_eq!(got.to_bits(), want.to_bits(), "{hours:?}: ({d}, {h})");
+                }
+            }
+        }
     }
 
     #[test]

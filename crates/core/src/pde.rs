@@ -18,13 +18,29 @@
 //! * [`SolverMethod::Rk4`] / [`SolverMethod::DormandPrince45`] — explicit
 //!   method-of-lines via [`dlm_numerics::ode`]; used to cross-validate the
 //!   implicit schemes (see the `pde_solvers` ablation bench).
+//!
+//! The implicit stepper allocates its work buffers once per solve and
+//! solves each Newton system in place with
+//! [`dlm_numerics::tridiag::solve_thomas_into`], so no allocation happens
+//! inside the time-step or Newton loops.
+//!
+//! Two entry points differ only in which time steps they record:
+//!
+//! * [`solve`] records every step — for callers that read the whole field
+//!   (profiles over time, mass, monotonicity checks);
+//! * [`solve_at`] records only the first row, the last row and the rows
+//!   bracketing a set of query times — for callers that read
+//!   [`PdeSolution::value_at`] at those times, such as
+//!   [`crate::model::DlModel::predict`] and the calibration objective.
+//!   Both take the same steps, so `value_at` at a query time returns the
+//!   same bits from either.
 
 use crate::error::{DlError, Result};
 use crate::growth::GrowthRate;
 use crate::initial::InitialDensity;
 use crate::params::DlParameters;
 use dlm_numerics::ode::{rk4, AdaptiveConfig, DormandPrince45};
-use dlm_numerics::tridiag::{solve_thomas, TridiagonalMatrix};
+use dlm_numerics::tridiag::{solve_thomas_into, TridiagonalMatrix};
 
 /// Time-stepping scheme for the method-of-lines system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -101,13 +117,15 @@ impl PdeSolution {
         &self.xs
     }
 
-    /// Recorded times (starting at the initial time).
+    /// Recorded times (starting at the initial time): every step from
+    /// [`solve`], only the checkpoint rows from [`solve_at`].
     #[must_use]
     pub fn times(&self) -> &[f64] {
         &self.times
     }
 
-    /// Raw field values, one row per recorded time.
+    /// Raw field values, one row per recorded time (see
+    /// [`PdeSolution::times`]).
     #[must_use]
     pub fn values(&self) -> &[Vec<f64>] {
         &self.values
@@ -151,7 +169,8 @@ impl PdeSolution {
         Ok(va * (1.0 - w) + vb * w)
     }
 
-    /// The spatial profile at the recorded time nearest to `t`.
+    /// The spatial profile at the recorded time nearest to `t`. On a
+    /// [`solve_at`] result only the checkpoint rows are candidates.
     #[must_use]
     pub fn profile_near(&self, t: f64) -> &[f64] {
         let idx = self
@@ -211,7 +230,11 @@ fn laplacian(u: &[f64], d_over_dx2: f64, out: &mut [f64]) {
 }
 
 /// Solves the DL equation from `t_start` to `t_end`, recording the field at
-/// `record_every` multiples of the time step (pass 1 to record every step).
+/// every time step.
+///
+/// The implicit schemes record `t_start` and then every step's end time;
+/// the explicit ones record their integrator's trajectory. Use
+/// [`solve_at`] when only a few query times will be read.
 ///
 /// # Errors
 ///
@@ -226,6 +249,63 @@ pub fn solve(
     t_start: f64,
     t_end: f64,
     config: &SolverConfig,
+) -> Result<PdeSolution> {
+    solve_recording(params, growth, phi, t_start, t_end, config, None)
+}
+
+/// Solves the DL equation from `t_start` to the latest of `query_times`,
+/// keeping only the rows [`PdeSolution::value_at`] reads at those times.
+///
+/// The implicit schemes take exactly the steps [`solve`] takes to the same
+/// end time but keep only the first row, the last row, and for each query
+/// time either the row recorded at exactly that time or the two rows that
+/// bracket it. `value_at` at any query time therefore returns the same
+/// bits as it does on the full [`solve`] result, while
+/// [`PdeSolution::values`] and [`PdeSolution::profile_near`] see only the
+/// kept rows. The explicit schemes return their full trajectory.
+///
+/// # Errors
+///
+/// * [`DlError::InvalidParameter`] — no query times, or the same
+///   conditions as [`solve`] with `t_end` the latest query time.
+/// * Propagates solver failures as [`solve`] does.
+pub fn solve_at(
+    params: &DlParameters,
+    growth: &dyn GrowthRate,
+    phi: &InitialDensity,
+    t_start: f64,
+    query_times: &[f64],
+    config: &SolverConfig,
+) -> Result<PdeSolution> {
+    if query_times.is_empty() {
+        return Err(DlError::InvalidParameter {
+            name: "query_times",
+            reason: "must be nonempty".into(),
+        });
+    }
+    let t_end = query_times
+        .iter()
+        .copied()
+        .fold(f64::NEG_INFINITY, f64::max);
+    solve_recording(
+        params,
+        growth,
+        phi,
+        t_start,
+        t_end,
+        config,
+        Some(query_times),
+    )
+}
+
+fn solve_recording(
+    params: &DlParameters,
+    growth: &dyn GrowthRate,
+    phi: &InitialDensity,
+    t_start: f64,
+    t_end: f64,
+    config: &SolverConfig,
+    query_times: Option<&[f64]>,
 ) -> Result<PdeSolution> {
     if config.space_intervals < 2 {
         return Err(DlError::InvalidParameter {
@@ -255,7 +335,15 @@ pub fn solve(
 
     match config.method {
         SolverMethod::CrankNicolson | SolverMethod::BackwardEuler => solve_implicit(
-            params, growth, &xs, u0, t_start, t_end, config, d_over_dx2, k,
+            growth,
+            xs,
+            u0,
+            t_start,
+            t_end,
+            config,
+            d_over_dx2,
+            k,
+            query_times,
         ),
         SolverMethod::Rk4 => {
             let steps = ((t_end - t_start) / config.dt).ceil() as usize;
@@ -317,17 +405,135 @@ impl dlm_numerics::ode::OdeSystem for MolSystem<'_> {
     }
 }
 
+/// Collects the rows a time stepper keeps: every step, or only the
+/// checkpoints around a set of query times (see [`solve_at`]).
+///
+/// The stepper offers each row once the time of the row after it is
+/// known, since a row brackets a query time `q` exactly when
+/// `previous time < q < next time`.
+pub(crate) struct Recorder<'q> {
+    /// `None` keeps every row.
+    query_times: Option<&'q [f64]>,
+    times: Vec<f64>,
+    values: Vec<Vec<f64>>,
+    /// Row buffers reserved for the most checkpoints `query_times` can
+    /// keep, so the allocation count does not depend on where the grid
+    /// times fall.
+    spare: Vec<Vec<f64>>,
+    /// Recorded time of the row before the current one; `None` while the
+    /// current row is the initial one, which is always kept.
+    previous: Option<f64>,
+    /// Recorded time of the current row.
+    current: f64,
+}
+
+impl<'q> Recorder<'q> {
+    /// Starts recording a solve of `steps` steps at the initial row `u0`,
+    /// which is always kept.
+    pub(crate) fn new(query_times: Option<&'q [f64]>, steps: usize, t0: f64, u0: &[f64]) -> Self {
+        let (rows, spare) = match query_times {
+            None => (steps + 1, Vec::new()),
+            Some(q) => {
+                let rows = 2 + 2 * q.len();
+                (
+                    rows,
+                    (0..rows).map(|_| Vec::with_capacity(u0.len())).collect(),
+                )
+            }
+        };
+        let mut recorder = Self {
+            query_times,
+            times: Vec::with_capacity(rows),
+            values: Vec::with_capacity(rows),
+            spare,
+            previous: None,
+            current: t0,
+        };
+        recorder.keep(t0, u0);
+        recorder
+    }
+
+    /// Offers the current row `u`, given the time of the row after it.
+    pub(crate) fn advance(&mut self, u: &[f64], next: f64) {
+        if let Some(previous) = self.previous {
+            if self.wants(previous, next) {
+                self.keep(self.current, u);
+            }
+        }
+        self.previous = Some(self.current);
+        self.current = next;
+    }
+
+    /// Keeps the final row `u` and assembles the solution.
+    pub(crate) fn finish(mut self, xs: Vec<f64>, u: &[f64]) -> PdeSolution {
+        if self.previous.is_some() {
+            self.keep(self.current, u);
+        }
+        PdeSolution {
+            xs,
+            times: self.times,
+            values: self.values,
+        }
+    }
+
+    fn wants(&self, previous: f64, next: f64) -> bool {
+        self.query_times
+            .is_none_or(|q| q.iter().any(|&t| previous < t && t < next))
+    }
+
+    fn keep(&mut self, t: f64, u: &[f64]) {
+        let mut row = self.spare.pop().unwrap_or_default();
+        row.extend_from_slice(u);
+        self.times.push(t);
+        self.values.push(row);
+    }
+}
+
+/// `out = r·v·(1 − v/K)` at every node.
+fn reaction(r: f64, k: f64, v: &[f64], out: &mut [f64]) {
+    for (o, &vj) in out.iter_mut().zip(v) {
+        *o = r * vj * (1.0 - vj / k);
+    }
+}
+
+/// Writes the Newton residual `g = v − w·(lap + f) − rhs` and returns its
+/// max-norm.
+pub(crate) fn residual(
+    v: &[f64],
+    lap: &[f64],
+    f: &[f64],
+    rhs: &[f64],
+    w: f64,
+    g: &mut [f64],
+) -> f64 {
+    for (j, gj) in g.iter_mut().enumerate() {
+        *gj = v[j] - w * (lap[j] + f[j]) - rhs[j];
+    }
+    g.iter().map(|x| x.abs()).fold(0.0, f64::max)
+}
+
+/// Newton iterations per implicit step before giving up.
+pub(crate) const NEWTON_ITERATIONS: usize = 30;
+
+/// Max-norm of the Newton residual that counts as converged.
+pub(crate) const NEWTON_TOLERANCE: f64 = 1e-11;
+
+/// The θ-scheme stepper (θ = ½ for Crank–Nicolson, 1 for backward Euler).
+///
+/// Every work buffer is allocated once per solve, the Jacobian's constant
+/// off-diagonals once, and an accepted line-search trial hands its
+/// residual to the next Newton iteration.
 #[allow(clippy::too_many_arguments)]
 fn solve_implicit(
-    _params: &DlParameters,
     growth: &dyn GrowthRate,
-    xs: &[f64],
-    u0: Vec<f64>,
+    xs: Vec<f64>,
+    mut u: Vec<f64>,
     t_start: f64,
     t_end: f64,
     config: &SolverConfig,
     d_over_dx2: f64,
     k: f64,
+    query_times: Option<&[f64]>,
 ) -> Result<PdeSolution> {
     let crank_nicolson = config.method == SolverMethod::CrankNicolson;
     let n = xs.len();
@@ -335,91 +541,91 @@ fn solve_implicit(
     let dt = (t_end - t_start) / steps as f64;
     // Implicit weight: CN splits the operator evenly; BE is fully implicit.
     let theta = if crank_nicolson { 0.5 } else { 1.0 };
+    let explicit_weight = dt * (1.0 - theta);
+    let implicit_weight = dt * theta;
 
-    let mut u = u0;
-    let mut times = Vec::with_capacity(steps + 1);
-    let mut values = Vec::with_capacity(steps + 1);
-    times.push(t_start);
-    values.push(u.clone());
-
-    let reaction = |t: f64, v: &[f64], out: &mut [f64]| {
-        let r = growth.rate(t);
-        for (o, &vj) in out.iter_mut().zip(v) {
-            *o = r * vj * (1.0 - vj / k);
-        }
-    };
+    // Tridiagonal Jacobian of G(v) = v − dt·θ·(Lap v + f(v)) − rhs. The
+    // Laplacian diagonal is −2a at every node; ghost-node reflection
+    // doubles the boundary rows' off-diagonal coupling.
+    let a = implicit_weight * d_over_dx2;
+    let mut sub = vec![-a; n - 1];
+    let mut sup = vec![-a; n - 1];
+    sup[0] = -2.0 * a;
+    sub[n - 2] = -2.0 * a;
+    let diag_base = 1.0 + 2.0 * a;
 
     let mut lap = vec![0.0; n];
-    let mut f_now = vec![0.0; n];
-    let mut f_next = vec![0.0; n];
+    let mut f = vec![0.0; n];
+    let mut rhs = vec![0.0; n];
+    let mut v = vec![0.0; n];
+    let mut g = vec![0.0; n];
+    let mut trial = vec![0.0; n];
+    let mut trial_g = vec![0.0; n];
+    let mut diag = vec![0.0; n];
+    let mut delta = vec![0.0; n];
+    let mut scratch = vec![0.0; n];
 
+    let mut recorder = Recorder::new(query_times, steps, t_start, &u);
     for s in 0..steps {
         let t_now = t_start + s as f64 * dt;
         let t_next = t_now + dt;
 
         // Explicit part of the right-hand side.
         laplacian(&u, d_over_dx2, &mut lap);
-        reaction(t_now, &u, &mut f_now);
-        let rhs: Vec<f64> = (0..n)
-            .map(|j| u[j] + dt * (1.0 - theta) * (lap[j] + f_now[j]))
-            .collect();
+        reaction(growth.rate(t_now), k, &u, &mut f);
+        for j in 0..n {
+            rhs[j] = u[j] + explicit_weight * (lap[j] + f[j]);
+        }
 
         // Newton solve for: v − dt·θ·(Lap v + f(t_next, v)) = rhs.
-        let mut v = u.clone();
-        let mut converged = false;
+        v.copy_from_slice(&u);
         let r_next = growth.rate(t_next);
-        for _ in 0..30 {
-            laplacian(&v, d_over_dx2, &mut lap);
-            reaction(t_next, &v, &mut f_next);
-            let g: Vec<f64> = (0..n)
-                .map(|j| v[j] - dt * theta * (lap[j] + f_next[j]) - rhs[j])
-                .collect();
-            let res = g.iter().map(|x| x.abs()).fold(0.0, f64::max);
-            if res < 1e-11 {
+        // Residual max-norm of `v`, already in `g`, after an accepted trial.
+        let mut known_res = None;
+        let mut converged = false;
+        for _ in 0..NEWTON_ITERATIONS {
+            let res = match known_res.take() {
+                Some(res) => res,
+                None => {
+                    laplacian(&v, d_over_dx2, &mut lap);
+                    reaction(r_next, k, &v, &mut f);
+                    residual(&v, &lap, &f, &rhs, implicit_weight, &mut g)
+                }
+            };
+            if res < NEWTON_TOLERANCE {
                 converged = true;
                 break;
             }
-            // Tridiagonal Jacobian of G.
-            let a = dt * theta * d_over_dx2;
-            let mut sub = vec![-a; n - 1];
-            let mut sup = vec![-a; n - 1];
-            sup[0] = -2.0 * a; // ghost-node reflection doubles the boundary coupling
-            sub[n - 2] = -2.0 * a;
-            // Laplacian diagonal is −2a at every node (boundary rows differ
-            // only in their off-diagonal, doubled by ghost reflection).
-            let diag: Vec<f64> = (0..n)
-                .map(|j| {
-                    let fprime = r_next * (1.0 - 2.0 * v[j] / k);
-                    1.0 + 2.0 * a - dt * theta * fprime
-                })
-                .collect();
-            let delta = match solve_thomas(&sub, &diag, &sup, &g) {
-                Ok(d) => d,
-                Err(_) => {
-                    // Fall back to the pivoted solver on breakdown.
-                    TridiagonalMatrix::new(sub.clone(), diag.clone(), sup.clone())?.solve(&g)?
-                }
-            };
+            for (dj, &vj) in diag.iter_mut().zip(&v) {
+                let fprime = r_next * (1.0 - 2.0 * vj / k);
+                *dj = diag_base - implicit_weight * fprime;
+            }
+            if solve_thomas_into(&sub, &diag, &sup, &g, &mut scratch, &mut delta).is_err() {
+                // Fall back to the pivoted solver on breakdown.
+                let pivoted =
+                    TridiagonalMatrix::new(sub.clone(), diag.clone(), sup.clone())?.solve(&g)?;
+                delta.copy_from_slice(&pivoted);
+            }
             // Damped update.
             let mut lambda = 1.0;
-            let mut accepted = false;
             for _ in 0..6 {
-                let trial: Vec<f64> = (0..n).map(|j| v[j] - lambda * delta[j]).collect();
+                for j in 0..n {
+                    trial[j] = v[j] - lambda * delta[j];
+                }
                 laplacian(&trial, d_over_dx2, &mut lap);
-                reaction(t_next, &trial, &mut f_next);
-                let trial_res = (0..n)
-                    .map(|j| (trial[j] - dt * theta * (lap[j] + f_next[j]) - rhs[j]).abs())
-                    .fold(0.0, f64::max);
+                reaction(r_next, k, &trial, &mut f);
+                let trial_res = residual(&trial, &lap, &f, &rhs, implicit_weight, &mut trial_g);
                 if trial_res.is_finite() && trial_res < res {
-                    v = trial;
-                    accepted = true;
+                    std::mem::swap(&mut v, &mut trial);
+                    std::mem::swap(&mut g, &mut trial_g);
+                    known_res = Some(trial_res);
                     break;
                 }
                 lambda *= 0.5;
             }
-            if !accepted {
-                for j in 0..n {
-                    v[j] -= delta[j];
+            if known_res.is_none() {
+                for (vj, dj) in v.iter_mut().zip(&delta) {
+                    *vj -= dj;
                 }
             }
         }
@@ -427,20 +633,15 @@ fn solve_implicit(
             return Err(DlError::Numerics(
                 dlm_numerics::NumericsError::NoConvergence {
                     algorithm: "crank-nicolson newton",
-                    iterations: 30,
+                    iterations: NEWTON_ITERATIONS,
                     residual: f64::NAN,
                 },
             ));
         }
-        u = v;
-        times.push(t_next);
-        values.push(u.clone());
+        recorder.advance(&u, t_next);
+        std::mem::swap(&mut u, &mut v);
     }
-    Ok(PdeSolution {
-        xs: xs.to_vec(),
-        times,
-        values,
-    })
+    Ok(recorder.finish(xs, &u))
 }
 
 #[cfg(test)]
@@ -448,6 +649,7 @@ mod tests {
     use super::*;
     use crate::growth::{ConstantGrowth, ExpDecayGrowth};
     use crate::initial::PhiConstruction;
+    use dlm_numerics::tridiag::solve_thomas;
 
     fn params() -> DlParameters {
         DlParameters::paper_hops(6).unwrap()
@@ -464,6 +666,349 @@ mod tests {
 
     fn logistic_exact(t: f64, y0: f64, r: f64, k: f64) -> f64 {
         k / (1.0 + (k / y0 - 1.0) * (-r * (t - 1.0)).exp())
+    }
+
+    /// The implicit stepper as it stood before the allocation-free
+    /// rewrite, kept verbatim as a bit-identity oracle.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_solve_implicit(
+        _params: &DlParameters,
+        growth: &dyn GrowthRate,
+        xs: &[f64],
+        u0: Vec<f64>,
+        t_start: f64,
+        t_end: f64,
+        config: &SolverConfig,
+        d_over_dx2: f64,
+        k: f64,
+    ) -> Result<PdeSolution> {
+        let crank_nicolson = config.method == SolverMethod::CrankNicolson;
+        let n = xs.len();
+        let steps = ((t_end - t_start) / config.dt).ceil() as usize;
+        let dt = (t_end - t_start) / steps as f64;
+        // Implicit weight: CN splits the operator evenly; BE is fully implicit.
+        let theta = if crank_nicolson { 0.5 } else { 1.0 };
+
+        let mut u = u0;
+        let mut times = Vec::with_capacity(steps + 1);
+        let mut values = Vec::with_capacity(steps + 1);
+        times.push(t_start);
+        values.push(u.clone());
+
+        let reaction = |t: f64, v: &[f64], out: &mut [f64]| {
+            let r = growth.rate(t);
+            for (o, &vj) in out.iter_mut().zip(v) {
+                *o = r * vj * (1.0 - vj / k);
+            }
+        };
+
+        let mut lap = vec![0.0; n];
+        let mut f_now = vec![0.0; n];
+        let mut f_next = vec![0.0; n];
+
+        for s in 0..steps {
+            let t_now = t_start + s as f64 * dt;
+            let t_next = t_now + dt;
+
+            // Explicit part of the right-hand side.
+            laplacian(&u, d_over_dx2, &mut lap);
+            reaction(t_now, &u, &mut f_now);
+            let rhs: Vec<f64> = (0..n)
+                .map(|j| u[j] + dt * (1.0 - theta) * (lap[j] + f_now[j]))
+                .collect();
+
+            // Newton solve for: v − dt·θ·(Lap v + f(t_next, v)) = rhs.
+            let mut v = u.clone();
+            let mut converged = false;
+            let r_next = growth.rate(t_next);
+            for _ in 0..30 {
+                laplacian(&v, d_over_dx2, &mut lap);
+                reaction(t_next, &v, &mut f_next);
+                let g: Vec<f64> = (0..n)
+                    .map(|j| v[j] - dt * theta * (lap[j] + f_next[j]) - rhs[j])
+                    .collect();
+                let res = g.iter().map(|x| x.abs()).fold(0.0, f64::max);
+                if res < 1e-11 {
+                    converged = true;
+                    break;
+                }
+                // Tridiagonal Jacobian of G.
+                let a = dt * theta * d_over_dx2;
+                let mut sub = vec![-a; n - 1];
+                let mut sup = vec![-a; n - 1];
+                sup[0] = -2.0 * a; // ghost-node reflection doubles the boundary coupling
+                sub[n - 2] = -2.0 * a;
+                // Laplacian diagonal is −2a at every node (boundary rows differ
+                // only in their off-diagonal, doubled by ghost reflection).
+                let diag: Vec<f64> = (0..n)
+                    .map(|j| {
+                        let fprime = r_next * (1.0 - 2.0 * v[j] / k);
+                        1.0 + 2.0 * a - dt * theta * fprime
+                    })
+                    .collect();
+                let delta = match solve_thomas(&sub, &diag, &sup, &g) {
+                    Ok(d) => d,
+                    Err(_) => {
+                        // Fall back to the pivoted solver on breakdown.
+                        TridiagonalMatrix::new(sub.clone(), diag.clone(), sup.clone())?.solve(&g)?
+                    }
+                };
+                // Damped update.
+                let mut lambda = 1.0;
+                let mut accepted = false;
+                for _ in 0..6 {
+                    let trial: Vec<f64> = (0..n).map(|j| v[j] - lambda * delta[j]).collect();
+                    laplacian(&trial, d_over_dx2, &mut lap);
+                    reaction(t_next, &trial, &mut f_next);
+                    let trial_res = (0..n)
+                        .map(|j| (trial[j] - dt * theta * (lap[j] + f_next[j]) - rhs[j]).abs())
+                        .fold(0.0, f64::max);
+                    if trial_res.is_finite() && trial_res < res {
+                        v = trial;
+                        accepted = true;
+                        break;
+                    }
+                    lambda *= 0.5;
+                }
+                if !accepted {
+                    for j in 0..n {
+                        v[j] -= delta[j];
+                    }
+                }
+            }
+            if !converged {
+                return Err(DlError::Numerics(
+                    dlm_numerics::NumericsError::NoConvergence {
+                        algorithm: "crank-nicolson newton",
+                        iterations: 30,
+                        residual: f64::NAN,
+                    },
+                ));
+            }
+            u = v;
+            times.push(t_next);
+            values.push(u.clone());
+        }
+        Ok(PdeSolution {
+            xs: xs.to_vec(),
+            times,
+            values,
+        })
+    }
+
+    /// [`solve`]'s setup in front of the reference implicit stepper.
+    fn reference_solve(
+        params: &DlParameters,
+        growth: &dyn GrowthRate,
+        phi: &InitialDensity,
+        t_start: f64,
+        t_end: f64,
+        config: &SolverConfig,
+    ) -> Result<PdeSolution> {
+        let m = config.space_intervals;
+        let dx = params.width() / m as f64;
+        let xs: Vec<f64> = (0..=m).map(|j| params.lower() + j as f64 * dx).collect();
+        let u0: Vec<f64> = xs.iter().map(|&x| phi.value(x)).collect();
+        let d_over_dx2 = params.diffusion() / (dx * dx);
+        reference_solve_implicit(
+            params,
+            growth,
+            &xs,
+            u0,
+            t_start,
+            t_end,
+            config,
+            d_over_dx2,
+            params.capacity(),
+        )
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Asserts two solve outcomes agree bit for bit on every recorded
+    /// time and row, or fail with the same error.
+    fn assert_same_outcome(got: &Result<PdeSolution>, want: &Result<PdeSolution>, label: &str) {
+        match (got, want) {
+            (Ok(got), Ok(want)) => {
+                assert_eq!(bits(got.grid()), bits(want.grid()), "{label}: grid");
+                assert_eq!(bits(got.times()), bits(want.times()), "{label}: times");
+                assert_eq!(got.values().len(), want.values().len(), "{label}: rows");
+                for (k, (a, b)) in got.values().iter().zip(want.values()).enumerate() {
+                    assert_eq!(bits(a), bits(b), "{label}: row {k}");
+                }
+            }
+            (Err(got), Err(want)) => {
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "{label}: error");
+            }
+            _ => panic!("{label}: one solve failed: {got:?} vs {want:?}"),
+        }
+    }
+
+    /// Observation profiles above K = 25, at K, and a single spike.
+    const ORACLE_PROFILES: [[f64; 6]; 3] = [
+        [40.0, 31.0, 52.0, 27.5, 38.0, 45.0],
+        [25.0; 6],
+        [0.0, 0.0, 9.0, 0.0, 0.0, 0.0],
+    ];
+
+    fn oracle_growths() -> [(&'static str, Box<dyn GrowthRate>); 2] {
+        [
+            ("paper", Box::new(ExpDecayGrowth::paper_hops())),
+            ("constant", Box::new(ConstantGrowth::new(0.8))),
+        ]
+    }
+
+    #[test]
+    fn implicit_stepper_matches_reference_bit_for_bit() {
+        let p = params();
+        let mut errors = 0;
+        for profile in ORACLE_PROFILES {
+            let phi = InitialDensity::from_observations(&p, &profile, PhiConstruction::SplineFlat)
+                .unwrap();
+            for (name, growth) in oracle_growths() {
+                for method in [SolverMethod::CrankNicolson, SolverMethod::BackwardEuler] {
+                    for space_intervals in [25, 40, 100, 200] {
+                        for dt in [0.002, 0.01, 0.05, 0.5] {
+                            let config = SolverConfig {
+                                method,
+                                space_intervals,
+                                dt,
+                            };
+                            let label = format!("{profile:?} {name} {config:?}");
+                            let got = solve(&p, growth.as_ref(), &phi, 1.0, 3.0, &config);
+                            let want =
+                                reference_solve(&p, growth.as_ref(), &phi, 1.0, 3.0, &config);
+                            errors += usize::from(want.is_err());
+                            assert_same_outcome(&got, &want, &label);
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(errors, 0, "every oracle configuration converges");
+    }
+
+    #[test]
+    fn non_converging_solve_returns_the_reference_error() {
+        // A single spike under a steep constant growth and a large step:
+        // damped Newton cannot close the residual in 30 iterations.
+        let p = params();
+        let phi = InitialDensity::from_observations(
+            &p,
+            &[0.0, 0.0, 9.0, 0.0, 0.0, 0.0],
+            PhiConstruction::SplineFlat,
+        )
+        .unwrap();
+        let growth = ConstantGrowth::new(5.0);
+        for method in [SolverMethod::CrankNicolson, SolverMethod::BackwardEuler] {
+            let config = SolverConfig {
+                method,
+                space_intervals: 40,
+                dt: 0.5,
+            };
+            let got = solve(&p, &growth, &phi, 1.0, 3.0, &config);
+            let want = reference_solve(&p, &growth, &phi, 1.0, 3.0, &config);
+            assert!(
+                matches!(
+                    got,
+                    Err(DlError::Numerics(
+                        dlm_numerics::NumericsError::NoConvergence { .. }
+                    ))
+                ),
+                "{method:?}: {got:?}"
+            );
+            assert_same_outcome(&got, &want, &format!("{method:?}"));
+        }
+    }
+
+    #[test]
+    fn solve_at_reads_the_same_bits_as_solve() {
+        let p = params();
+        let xs = [1.0, 1.3, 2.0, 3.75, 5.5, 6.0];
+        let query_sets: [&[f64]; 5] = [
+            &[2.5],
+            &[3.0, 2.0, 2.0, 1.5],
+            &[2.0],
+            &[1.0, 2.25, 3.0],
+            &[1.7, 3.0, 2.9],
+        ];
+        for profile in ORACLE_PROFILES {
+            let phi = InitialDensity::from_observations(&p, &profile, PhiConstruction::SplineFlat)
+                .unwrap();
+            for (name, growth) in oracle_growths() {
+                for method in [SolverMethod::CrankNicolson, SolverMethod::BackwardEuler] {
+                    for space_intervals in [25, 100] {
+                        for dt in [0.002, 0.01, 0.05, 0.5] {
+                            let config = SolverConfig {
+                                method,
+                                space_intervals,
+                                dt,
+                            };
+                            for queries in query_sets {
+                                let label = format!("{profile:?} {name} {config:?} {queries:?}");
+                                let t_end = queries.iter().copied().fold(f64::MIN, f64::max);
+                                let full =
+                                    solve(&p, growth.as_ref(), &phi, 1.0, t_end, &config).unwrap();
+                                let at = solve_at(&p, growth.as_ref(), &phi, 1.0, queries, &config)
+                                    .unwrap();
+                                for &t in queries {
+                                    for &x in &xs {
+                                        let a = at.value_at(x, t).unwrap();
+                                        let b = full.value_at(x, t).unwrap();
+                                        assert_eq!(a.to_bits(), b.to_bits(), "{label}: ({x}, {t})");
+                                    }
+                                }
+                                // Kept rows are the full solution's rows,
+                                // from the first to the last.
+                                assert!(at.times().len() <= 2 + 2 * queries.len(), "{label}");
+                                assert_eq!(at.times()[0], full.times()[0], "{label}");
+                                assert_eq!(at.times().last(), full.times().last(), "{label}");
+                                for (t, row) in at.times().iter().zip(at.values()) {
+                                    let k = full.times().iter().position(|s| s == t).unwrap();
+                                    assert_eq!(bits(row), bits(&full.values()[k]), "{label}");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn solve_at_keeps_first_last_and_bracketing_rows() {
+        let p = params();
+        let phi = phi(&p);
+        let growth = ExpDecayGrowth::paper_hops();
+        let config = SolverConfig {
+            dt: 0.5,
+            ..SolverConfig::default()
+        };
+        // Grid times 1, 1.5, 2, 2.5, 3, 3.5, 4: 2 is on the grid, 2.75
+        // falls between 2.5 and 3.
+        let at = solve_at(&p, &growth, &phi, 1.0, &[2.75, 2.0, 4.0], &config).unwrap();
+        assert_eq!(at.times(), &[1.0, 2.0, 2.5, 3.0, 4.0]);
+        assert!(solve_at(&p, &growth, &phi, 1.0, &[], &config).is_err());
+        assert!(solve_at(&p, &growth, &phi, 1.0, &[0.5], &config).is_err());
+    }
+
+    #[test]
+    fn solve_at_returns_the_full_explicit_trajectory() {
+        let p = params();
+        let phi = phi(&p);
+        let growth = ExpDecayGrowth::paper_hops();
+        for method in [SolverMethod::Rk4, SolverMethod::DormandPrince45] {
+            let config = SolverConfig {
+                method,
+                space_intervals: 25,
+                dt: 0.05,
+            };
+            let full = solve(&p, &growth, &phi, 1.0, 3.0, &config).unwrap();
+            let at = solve_at(&p, &growth, &phi, 1.0, &[2.0, 3.0], &config).unwrap();
+            assert_eq!(at, full, "{method:?}");
+        }
     }
 
     #[test]

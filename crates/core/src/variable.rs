@@ -23,11 +23,12 @@ use crate::growth::ExpDecayGrowth;
 use crate::initial::InitialDensity;
 use crate::model::Prediction;
 use crate::params::DlParameters;
+use crate::pde::{residual, PdeSolution, Recorder, NEWTON_ITERATIONS, NEWTON_TOLERANCE};
 use crate::predict::FitConfig;
 use dlm_cascade::DensityMatrix;
 use dlm_numerics::interp::LinearInterp;
 use dlm_numerics::optimize::{multi_start_nelder_mead, MultiStartConfig, NelderMeadConfig};
-use dlm_numerics::tridiag::solve_thomas;
+use dlm_numerics::tridiag::solve_thomas_into;
 use std::fmt;
 use std::sync::Arc;
 
@@ -297,14 +298,24 @@ impl VariableDlModel {
 
     /// Solves the generalized equation to `t_end` with a theta-scheme
     /// (Crank–Nicolson) and a conservative face-centred discretization of
-    /// `∂/∂x(d(x) ∂I/∂x)` under Neumann boundaries.
+    /// `∂/∂x(d(x) ∂I/∂x)` under Neumann boundaries, recording every time
+    /// step.
     ///
     /// # Errors
     ///
     /// * [`DlError::InvalidParameter`] — `t_end` not after the initial
     ///   time.
     /// * Propagates Newton/tridiagonal failures.
-    pub fn solve_until(&self, t_end: f64) -> Result<crate::pde::PdeSolution> {
+    pub fn solve_until(&self, t_end: f64) -> Result<PdeSolution> {
+        self.solve_recording(t_end, None)
+    }
+
+    /// The Crank–Nicolson stepper behind [`VariableDlModel::solve_until`]
+    /// and [`VariableDlModel::predict`]. Work buffers and the Jacobian's
+    /// off-diagonals are built once per solve, and the coefficient fields
+    /// are evaluated once per cell per time level. `query_times` selects
+    /// checkpoint-only recording, as in [`crate::pde::solve_at`].
+    fn solve_recording(&self, t_end: f64, query_times: Option<&[f64]>) -> Result<PdeSolution> {
         if !(t_end > self.initial_time) {
             return Err(DlError::InvalidParameter {
                 name: "t_end",
@@ -335,91 +346,105 @@ impl VariableDlModel {
             }
             out[n - 1] = 2.0 * faces[n - 2] * (v[n - 2] - v[n - 1]) * inv_dx2;
         };
-        let reaction = |t: f64, v: &[f64], out: &mut [f64]| {
+        // Reaction from per-cell growth and capacity at one time level.
+        let reaction = |r: &[f64], k: &[f64], v: &[f64], out: &mut [f64]| {
             for (j, (o, &vj)) in out.iter_mut().zip(v).enumerate() {
-                let r = self.growth.value(xs[j], t);
-                let k = self.capacity.value(xs[j], t);
-                *o = r * vj * (1.0 - vj / k);
+                *o = r[j] * vj * (1.0 - vj / k[j]);
+            }
+        };
+        let fields_at = |t: f64, r: &mut [f64], k: &mut [f64]| {
+            for (j, &x) in xs.iter().enumerate() {
+                r[j] = self.growth.value(x, t);
+                k[j] = self.capacity.value(x, t);
             }
         };
 
         let steps = ((t_end - self.initial_time) / self.dt).ceil() as usize;
         let dt = (t_end - self.initial_time) / steps as f64;
         let theta = 0.5;
+        let explicit_weight = dt * (1.0 - theta);
+        let implicit_weight = dt * theta;
 
-        let mut times = Vec::with_capacity(steps + 1);
-        let mut values = Vec::with_capacity(steps + 1);
-        times.push(self.initial_time);
-        values.push(u.clone());
+        // Tridiagonal Jacobian with per-face couplings, doubled at the
+        // boundary rows by ghost-node reflection.
+        let a = implicit_weight * inv_dx2;
+        let mut sub: Vec<f64> = faces.iter().map(|&d| -a * d).collect();
+        let mut sup = sub.clone();
+        sup[0] *= 2.0;
+        sub[n - 2] *= 2.0;
+        let diag_base: Vec<f64> = (0..n)
+            .map(|j| {
+                let lap_diag = if j == 0 {
+                    2.0 * faces[0]
+                } else if j == n - 1 {
+                    2.0 * faces[n - 2]
+                } else {
+                    faces[j] + faces[j - 1]
+                };
+                1.0 + a * lap_diag
+            })
+            .collect();
+
         let mut lap_buf = vec![0.0; n];
         let mut f_buf = vec![0.0; n];
+        let mut r_buf = vec![0.0; n];
+        let mut k_buf = vec![0.0; n];
+        let mut rhs = vec![0.0; n];
+        let mut v = vec![0.0; n];
+        let mut g = vec![0.0; n];
+        let mut diag = vec![0.0; n];
+        let mut delta = vec![0.0; n];
+        let mut scratch = vec![0.0; n];
 
+        let mut recorder = Recorder::new(query_times, steps, self.initial_time, &u);
         for s in 0..steps {
             let t_now = self.initial_time + s as f64 * dt;
             let t_next = t_now + dt;
             lap(&u, &mut lap_buf);
-            reaction(t_now, &u, &mut f_buf);
-            let rhs: Vec<f64> = (0..n)
-                .map(|j| u[j] + dt * (1.0 - theta) * (lap_buf[j] + f_buf[j]))
-                .collect();
+            fields_at(t_now, &mut r_buf, &mut k_buf);
+            reaction(&r_buf, &k_buf, &u, &mut f_buf);
+            for j in 0..n {
+                rhs[j] = u[j] + explicit_weight * (lap_buf[j] + f_buf[j]);
+            }
 
-            let mut v = u.clone();
+            v.copy_from_slice(&u);
+            fields_at(t_next, &mut r_buf, &mut k_buf);
             let mut converged = false;
-            for _ in 0..30 {
+            for _ in 0..NEWTON_ITERATIONS {
                 lap(&v, &mut lap_buf);
-                reaction(t_next, &v, &mut f_buf);
-                let g: Vec<f64> = (0..n)
-                    .map(|j| v[j] - dt * theta * (lap_buf[j] + f_buf[j]) - rhs[j])
-                    .collect();
-                let res = g.iter().map(|x| x.abs()).fold(0.0, f64::max);
-                if res < 1e-11 {
+                reaction(&r_buf, &k_buf, &v, &mut f_buf);
+                let res = residual(&v, &lap_buf, &f_buf, &rhs, implicit_weight, &mut g);
+                if res < NEWTON_TOLERANCE {
                     converged = true;
                     break;
                 }
-                // Tridiagonal Jacobian with per-face couplings.
-                let a = dt * theta * inv_dx2;
-                let mut sub: Vec<f64> = (0..n - 1).map(|j| -a * faces[j]).collect();
-                let mut sup: Vec<f64> = (0..n - 1).map(|j| -a * faces[j]).collect();
-                sup[0] *= 2.0;
-                sub[n - 2] *= 2.0;
-                let diag: Vec<f64> = (0..n)
-                    .map(|j| {
-                        let r = self.growth.value(xs[j], t_next);
-                        let k = self.capacity.value(xs[j], t_next);
-                        let fprime = r * (1.0 - 2.0 * v[j] / k);
-                        let lap_diag = if j == 0 {
-                            2.0 * faces[0]
-                        } else if j == n - 1 {
-                            2.0 * faces[n - 2]
-                        } else {
-                            faces[j] + faces[j - 1]
-                        };
-                        1.0 + a * lap_diag - dt * theta * fprime
-                    })
-                    .collect();
-                let delta = solve_thomas(&sub, &diag, &sup, &g)?;
                 for j in 0..n {
-                    v[j] -= delta[j];
+                    let fprime = r_buf[j] * (1.0 - 2.0 * v[j] / k_buf[j]);
+                    diag[j] = diag_base[j] - implicit_weight * fprime;
+                }
+                solve_thomas_into(&sub, &diag, &sup, &g, &mut scratch, &mut delta)?;
+                for (vj, dj) in v.iter_mut().zip(&delta) {
+                    *vj -= dj;
                 }
             }
             if !converged {
                 return Err(DlError::Numerics(
                     dlm_numerics::NumericsError::NoConvergence {
                         algorithm: "variable-coefficient newton",
-                        iterations: 30,
+                        iterations: NEWTON_ITERATIONS,
                         residual: f64::NAN,
                     },
                 ));
             }
-            u = v;
-            times.push(t_next);
-            values.push(u.clone());
+            recorder.advance(&u, t_next);
+            std::mem::swap(&mut u, &mut v);
         }
-        crate::pde::PdeSolution::from_parts(xs, times, values)
+        Ok(recorder.finish(xs, &u))
     }
 
     /// Predicts densities at integer distances and hours, like
-    /// [`crate::model::DlModel::predict`].
+    /// [`crate::model::DlModel::predict`], keeping only the solved rows
+    /// those hours read.
     ///
     /// # Errors
     ///
@@ -432,7 +457,8 @@ impl VariableDlModel {
             });
         }
         let t_max = f64::from(*hours.iter().max().expect("nonempty"));
-        let sol = self.solve_until(t_max)?;
+        let query_times: Vec<f64> = hours.iter().map(|&h| f64::from(h)).collect();
+        let sol = self.solve_recording(t_max, Some(&query_times))?;
         let mut values = Vec::with_capacity(distances.len());
         for &d in distances {
             let mut row = Vec::with_capacity(hours.len());
@@ -600,8 +626,248 @@ pub fn calibrate_per_distance_growth_series_multi(
 mod tests {
     use super::*;
     use crate::growth::GrowthRate;
+    use dlm_numerics::tridiag::solve_thomas;
 
     const OBS: [f64; 6] = [2.1, 0.7, 0.9, 0.5, 0.3, 0.2];
+
+    /// The variable-coefficient stepper as it stood before the
+    /// allocation-free rewrite, kept verbatim as a bit-identity oracle.
+    impl VariableDlModel {
+        fn reference_solve_until(&self, t_end: f64) -> Result<crate::pde::PdeSolution> {
+            if !(t_end > self.initial_time) {
+                return Err(DlError::InvalidParameter {
+                    name: "t_end",
+                    reason: format!("must exceed initial time {}", self.initial_time),
+                });
+            }
+            let n = self.space_intervals + 1;
+            let (lo, hi) = self.domain;
+            let dx = (hi - lo) / self.space_intervals as f64;
+            let xs: Vec<f64> = (0..n).map(|j| lo + j as f64 * dx).collect();
+            let mut u: Vec<f64> = xs.iter().map(|&x| self.phi.value(x)).collect();
+
+            // Face-centred diffusivities d_{j+1/2}, constant in time.
+            let faces: Vec<f64> = (0..n - 1)
+                .map(|j| {
+                    self.diffusion
+                        .value(0.5 * (xs[j] + xs[j + 1]), self.initial_time)
+                })
+                .collect();
+            let inv_dx2 = 1.0 / (dx * dx);
+
+            // Conservative Laplacian with ghost-node Neumann closure.
+            let lap = |v: &[f64], out: &mut [f64]| {
+                out[0] = 2.0 * faces[0] * (v[1] - v[0]) * inv_dx2;
+                for j in 1..n - 1 {
+                    out[j] =
+                        (faces[j] * (v[j + 1] - v[j]) - faces[j - 1] * (v[j] - v[j - 1])) * inv_dx2;
+                }
+                out[n - 1] = 2.0 * faces[n - 2] * (v[n - 2] - v[n - 1]) * inv_dx2;
+            };
+            let reaction = |t: f64, v: &[f64], out: &mut [f64]| {
+                for (j, (o, &vj)) in out.iter_mut().zip(v).enumerate() {
+                    let r = self.growth.value(xs[j], t);
+                    let k = self.capacity.value(xs[j], t);
+                    *o = r * vj * (1.0 - vj / k);
+                }
+            };
+
+            let steps = ((t_end - self.initial_time) / self.dt).ceil() as usize;
+            let dt = (t_end - self.initial_time) / steps as f64;
+            let theta = 0.5;
+
+            let mut times = Vec::with_capacity(steps + 1);
+            let mut values = Vec::with_capacity(steps + 1);
+            times.push(self.initial_time);
+            values.push(u.clone());
+            let mut lap_buf = vec![0.0; n];
+            let mut f_buf = vec![0.0; n];
+
+            for s in 0..steps {
+                let t_now = self.initial_time + s as f64 * dt;
+                let t_next = t_now + dt;
+                lap(&u, &mut lap_buf);
+                reaction(t_now, &u, &mut f_buf);
+                let rhs: Vec<f64> = (0..n)
+                    .map(|j| u[j] + dt * (1.0 - theta) * (lap_buf[j] + f_buf[j]))
+                    .collect();
+
+                let mut v = u.clone();
+                let mut converged = false;
+                for _ in 0..30 {
+                    lap(&v, &mut lap_buf);
+                    reaction(t_next, &v, &mut f_buf);
+                    let g: Vec<f64> = (0..n)
+                        .map(|j| v[j] - dt * theta * (lap_buf[j] + f_buf[j]) - rhs[j])
+                        .collect();
+                    let res = g.iter().map(|x| x.abs()).fold(0.0, f64::max);
+                    if res < 1e-11 {
+                        converged = true;
+                        break;
+                    }
+                    // Tridiagonal Jacobian with per-face couplings.
+                    let a = dt * theta * inv_dx2;
+                    let mut sub: Vec<f64> = (0..n - 1).map(|j| -a * faces[j]).collect();
+                    let mut sup: Vec<f64> = (0..n - 1).map(|j| -a * faces[j]).collect();
+                    sup[0] *= 2.0;
+                    sub[n - 2] *= 2.0;
+                    let diag: Vec<f64> = (0..n)
+                        .map(|j| {
+                            let r = self.growth.value(xs[j], t_next);
+                            let k = self.capacity.value(xs[j], t_next);
+                            let fprime = r * (1.0 - 2.0 * v[j] / k);
+                            let lap_diag = if j == 0 {
+                                2.0 * faces[0]
+                            } else if j == n - 1 {
+                                2.0 * faces[n - 2]
+                            } else {
+                                faces[j] + faces[j - 1]
+                            };
+                            1.0 + a * lap_diag - dt * theta * fprime
+                        })
+                        .collect();
+                    let delta = solve_thomas(&sub, &diag, &sup, &g)?;
+                    for j in 0..n {
+                        v[j] -= delta[j];
+                    }
+                }
+                if !converged {
+                    return Err(DlError::Numerics(
+                        dlm_numerics::NumericsError::NoConvergence {
+                            algorithm: "variable-coefficient newton",
+                            iterations: 30,
+                            residual: f64::NAN,
+                        },
+                    ));
+                }
+                u = v;
+                times.push(t_next);
+                values.push(u.clone());
+            }
+            crate::pde::PdeSolution::from_parts(xs, times, values)
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Models exercising every coefficient path: constant, separable and
+    /// per-distance growth, variable diffusion and spatial capacity.
+    fn oracle_models() -> Vec<(&'static str, VariableDlModelBuilder)> {
+        let base = VariableDlModelBuilder::new(1.0, 6.0).unwrap();
+        vec![
+            ("constant", base.clone()),
+            (
+                "separable growth",
+                base.clone().growth(
+                    SeparableField::new(
+                        &[1.0, 5.0, 6.0],
+                        &[1.0, 1.0, 3.0],
+                        ExpDecayGrowth::paper_hops(),
+                    )
+                    .unwrap(),
+                ),
+            ),
+            (
+                "per-distance growth",
+                base.clone().growth(
+                    PerDistanceGrowth::new(
+                        1.0,
+                        vec![
+                            ExpDecayGrowth::new(0.5, 1.0, 0.1),
+                            ExpDecayGrowth::new(2.0, 1.0, 0.4),
+                            ExpDecayGrowth::paper_hops(),
+                        ],
+                    )
+                    .unwrap(),
+                ),
+            ),
+            (
+                "variable diffusion and capacity",
+                base.diffusion(
+                    SeparableField::new(
+                        &[1.0, 3.5, 6.0],
+                        &[0.0, 0.4, 0.05],
+                        ExpDecayGrowth::new(0.0, 0.0, 1.0),
+                    )
+                    .unwrap(),
+                )
+                .capacity(
+                    SeparableField::new(
+                        &[1.0, 3.0, 6.0],
+                        &[25.0, 25.0, 5.0],
+                        ExpDecayGrowth::new(0.0, 0.0, 1.0),
+                    )
+                    .unwrap(),
+                ),
+            ),
+        ]
+    }
+
+    #[test]
+    fn variable_stepper_matches_reference_bit_for_bit() {
+        let profiles: [&[f64]; 3] = [
+            &OBS,
+            &[30.0, 26.0, 41.0, 27.0, 33.0, 28.0],
+            &[0.0, 0.0, 9.0, 0.0, 0.0, 0.0],
+        ];
+        for (name, builder) in oracle_models() {
+            for profile in profiles {
+                for (intervals, dt) in [(25, 0.05), (40, 0.01), (100, 0.002), (100, 0.5)] {
+                    let model = builder
+                        .clone()
+                        .resolution(intervals, dt)
+                        .build(profile)
+                        .unwrap();
+                    let label = format!("{name} {profile:?} {intervals}/{dt}");
+                    let got = model.solve_until(3.0);
+                    let want = model.reference_solve_until(3.0);
+                    match (&got, &want) {
+                        (Ok(got), Ok(want)) => {
+                            assert_eq!(bits(got.times()), bits(want.times()), "{label}");
+                            assert_eq!(got.values().len(), want.values().len(), "{label}");
+                            for (a, b) in got.values().iter().zip(want.values()) {
+                                assert_eq!(bits(a), bits(b), "{label}");
+                            }
+                        }
+                        (Err(got), Err(want)) => {
+                            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{label}");
+                        }
+                        _ => panic!("{label}: {got:?} vs {want:?}"),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn variable_predict_reads_the_same_bits_as_the_reference() {
+        let distances = [1u32, 2, 3, 4, 5, 6];
+        let hour_sets: [&[u32]; 4] = [&[2, 3, 4], &[4, 2, 2], &[3], &[5, 2, 4, 3]];
+        for (name, builder) in oracle_models() {
+            for (intervals, dt) in [(25, 0.05), (100, 0.01)] {
+                let model = builder
+                    .clone()
+                    .resolution(intervals, dt)
+                    .build(&OBS)
+                    .unwrap();
+                for hours in hour_sets {
+                    let label = format!("{name} {intervals}/{dt} {hours:?}");
+                    let t_max = f64::from(*hours.iter().max().unwrap());
+                    let full = model.reference_solve_until(t_max).unwrap();
+                    let got = model.predict(&distances, hours).unwrap();
+                    for &d in &distances {
+                        for &h in hours {
+                            let want = full.value_at(f64::from(d), f64::from(h)).unwrap();
+                            let got = got.at(d, h).unwrap();
+                            assert_eq!(got.to_bits(), want.to_bits(), "{label}: ({d}, {h})");
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn constant_fields_reduce_to_classic_model() {

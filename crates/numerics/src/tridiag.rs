@@ -6,7 +6,8 @@
 //! algorithms are provided:
 //!
 //! * [`solve_thomas`] — the classic O(n) Thomas algorithm (no pivoting;
-//!   requires diagonal dominance or positive definiteness to be stable).
+//!   requires diagonal dominance or positive definiteness to be stable),
+//!   with [`solve_thomas_into`] as its allocation-free form.
 //! * [`TridiagonalMatrix::solve`] — LU with partial pivoting specialised to
 //!   banded storage, stable for any nonsingular tridiagonal system at the
 //!   cost of one extra superdiagonal of fill-in.
@@ -244,6 +245,9 @@ impl TridiagonalMatrix {
 /// when the matrix is diagonally dominant or symmetric positive definite —
 /// both hold for the Crank–Nicolson matrices produced by `dlm-core`.
 ///
+/// Allocating wrapper over [`solve_thomas_into`]; both return the same
+/// bits.
+///
 /// # Errors
 ///
 /// * [`NumericsError::DimensionMismatch`] on inconsistent lengths.
@@ -263,6 +267,50 @@ impl TridiagonalMatrix {
 /// ```
 pub fn solve_thomas(sub: &[f64], diag: &[f64], sup: &[f64], rhs: &[f64]) -> Result<Vec<f64>> {
     let n = diag.len();
+    let mut scratch = vec![0.0; n];
+    let mut x = vec![0.0; n];
+    solve_thomas_into(sub, diag, sup, rhs, &mut scratch, &mut x)?;
+    Ok(x)
+}
+
+/// The Thomas algorithm writing into caller-owned buffers: no allocation.
+///
+/// Same inputs as [`solve_thomas`], plus `scratch` (the eliminated
+/// superdiagonal) and `out` (the solution), both of length `n`. Time
+/// steppers that solve one system per Newton iteration allocate these
+/// once per solve.
+///
+/// # Errors
+///
+/// * [`NumericsError::DimensionMismatch`] on inconsistent lengths,
+///   including `scratch` or `out`.
+/// * [`NumericsError::SingularMatrix`] if elimination hits a zero pivot;
+///   `out` then holds partial results.
+///
+/// # Examples
+///
+/// ```
+/// use dlm_numerics::tridiag::solve_thomas_into;
+///
+/// # fn main() -> Result<(), dlm_numerics::NumericsError> {
+/// let (mut scratch, mut x) = ([0.0; 3], [0.0; 3]);
+/// solve_thomas_into(
+///     &[1.0, 1.0], &[2.0, 2.0, 2.0], &[1.0, 1.0], &[3.0, 4.0, 3.0],
+///     &mut scratch, &mut x,
+/// )?;
+/// assert!(x.iter().all(|xi| (xi - 1.0).abs() < 1e-12));
+/// # Ok(())
+/// # }
+/// ```
+pub fn solve_thomas_into(
+    sub: &[f64],
+    diag: &[f64],
+    sup: &[f64],
+    rhs: &[f64],
+    scratch: &mut [f64],
+    out: &mut [f64],
+) -> Result<()> {
+    let n = diag.len();
     if n == 0 {
         return Err(NumericsError::DimensionMismatch {
             expected: "n >= 1".into(),
@@ -275,15 +323,21 @@ pub fn solve_thomas(sub: &[f64], diag: &[f64], sup: &[f64], rhs: &[f64]) -> Resu
             actual: sub.len().max(sup.len()),
         });
     }
-    if rhs.len() != n {
-        return Err(NumericsError::DimensionMismatch {
-            expected: format!("rhs length {n}"),
-            actual: rhs.len(),
-        });
+    for (name, len) in [
+        ("rhs", rhs.len()),
+        ("scratch", scratch.len()),
+        ("out", out.len()),
+    ] {
+        if len != n {
+            return Err(NumericsError::DimensionMismatch {
+                expected: format!("{name} length {n}"),
+                actual: len,
+            });
+        }
     }
 
-    let mut c_star = vec![0.0; n];
-    let mut d_star = vec![0.0; n];
+    let c_star = scratch;
+    let d_star = out;
 
     if diag[0] == 0.0 {
         return Err(NumericsError::SingularMatrix { pivot: 0 });
@@ -302,12 +356,12 @@ pub fn solve_thomas(sub: &[f64], diag: &[f64], sup: &[f64], rhs: &[f64]) -> Resu
         d_star[i] = (rhs[i] - sub[i - 1] * d_star[i - 1]) / denom;
     }
 
-    let mut x = d_star;
+    let x = d_star;
     for i in (0..n - 1).rev() {
         let next = x[i + 1];
         x[i] -= c_star[i] * next;
     }
-    Ok(x)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -362,6 +416,32 @@ mod tests {
         assert!(matches!(err, NumericsError::DimensionMismatch { .. }));
         let err = solve_thomas(&[1.0], &[1.0, 1.0], &[1.0], &[1.0]).unwrap_err();
         assert!(matches!(err, NumericsError::DimensionMismatch { .. }));
+    }
+
+    #[test]
+    fn thomas_into_rejects_short_buffers() {
+        let (sub, diag, sup, rhs) = ([1.0], [4.0, 4.0], [1.0], [1.0, 1.0]);
+        let mut short = [0.0; 1];
+        let mut ok = [0.0; 2];
+        let err = solve_thomas_into(&sub, &diag, &sup, &rhs, &mut short, &mut ok).unwrap_err();
+        assert!(matches!(err, NumericsError::DimensionMismatch { .. }));
+        let err = solve_thomas_into(&sub, &diag, &sup, &rhs, &mut ok, &mut short).unwrap_err();
+        assert!(matches!(err, NumericsError::DimensionMismatch { .. }));
+    }
+
+    #[test]
+    fn thomas_into_reports_zero_pivot() {
+        let (mut scratch, mut out) = ([0.0; 2], [0.0; 2]);
+        let err = solve_thomas_into(
+            &[1.0],
+            &[1.0, 1.0],
+            &[1.0],
+            &[1.0, 1.0],
+            &mut scratch,
+            &mut out,
+        )
+        .unwrap_err();
+        assert!(matches!(err, NumericsError::SingularMatrix { pivot: 1 }));
     }
 
     #[test]
