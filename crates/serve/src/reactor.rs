@@ -22,15 +22,17 @@
 //! work-stealing pool in `dlm_numerics`, so I/O workers sized to the
 //! machine keep every core busy without a second queueing layer.
 //!
-//! Framing matches the legacy front end exactly: connections start in
-//! JSON-lines mode, and a `hello` negotiation (see [`crate::wire`])
-//! switches them to length-prefixed binary frames mid-stream, pipelined
-//! bytes included.
+//! Connections start in JSON-lines mode: a request is one
+//! `\n`-terminated line of at most 16 MiB, a trailing `\r` is stripped,
+//! blank lines are skipped, and a line that is not UTF-8 is answered
+//! with an error line before the connection closes. A `hello`
+//! negotiation (see [`crate::wire`]) switches a connection to
+//! length-prefixed binary frames mid-stream, pipelined bytes included.
 //!
 //! [`LineService`]: crate::server::LineService
 
 use crate::protocol::error_response;
-use crate::server::{LineService, MAX_LINE_BYTES};
+use crate::server::LineService;
 use crate::telemetry::{ReactorWorkerMetrics, WireMetrics};
 use crate::wire::{self, Transport};
 use std::io::{ErrorKind, Read, Write};
@@ -44,6 +46,12 @@ use std::time::{Duration, Instant};
 /// to stay invisible next to a forecast's compute, large enough that an
 /// idle reactor burns no measurable CPU.
 const IDLE_PARK: Duration = Duration::from_micros(500);
+
+/// Upper bound on one request line. The largest legitimate request is a
+/// full-cascade ingest batch — tens of thousands of `[ts,voter]` pairs
+/// fit comfortably; a client streaming an endless unterminated "line"
+/// must not grow server memory without bound.
+const MAX_LINE_BYTES: usize = 16 * 1024 * 1024;
 
 /// Per-pass read chunk.
 const READ_CHUNK: usize = 64 * 1024;
@@ -102,8 +110,8 @@ pub(crate) struct ReactorHandle {
 
 impl ReactorHandle {
     /// Stops the accept loop, wakes every worker, and joins the pool.
-    /// Workers drop their connections outright — reactor shutdown is
-    /// teardown, not graceful drain, matching the legacy front end.
+    /// Workers drop their connections outright: shutdown is teardown,
+    /// not graceful drain, so queued but unsent responses are lost.
     pub(crate) fn shutdown(&mut self, addr: SocketAddr) {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;

@@ -7,8 +7,9 @@
 //! * the compact binary `ingest` payload is equivalent to the JSON
 //!   `ingest` line it expands to;
 //! * hostile inputs — truncated frames, oversize declared lengths,
-//!   garbage negotiation, mid-frame disconnects — are answered or
-//!   dropped without taking the server (or any other connection) down;
+//!   garbage negotiation, mid-frame disconnects, non-UTF-8 lines — are
+//!   answered or dropped without taking the server (or any other
+//!   connection) down, and CRLF or blank lines frame like plain lines;
 //! * splitting one vote stream into arbitrary batch-ingest groupings
 //!   leaves the server in bit-identical state to a one-vote-per-line
 //!   replay (proptest).
@@ -182,8 +183,17 @@ impl RawConn {
     }
 
     fn send_line(&mut self, line: &str) -> String {
-        self.stream.write_all(line.as_bytes()).expect("write");
-        self.stream.write_all(b"\n").expect("write");
+        self.send_bytes(format!("{line}\n").as_bytes())
+    }
+
+    /// Writes `bytes` verbatim and reads one response line.
+    fn send_bytes(&mut self, bytes: &[u8]) -> String {
+        self.stream.write_all(bytes).expect("write");
+        self.read_line()
+    }
+
+    /// One response line without its terminator; empty at EOF.
+    fn read_line(&mut self) -> String {
         let mut response = String::new();
         std::io::BufRead::read_line(&mut self.reader, &mut response).expect("read");
         response.trim_end().to_owned()
@@ -244,6 +254,68 @@ fn hostile_wire_input_never_takes_the_server_down() {
                 .and_then(Json::as_bool),
             Some(false)
         );
+    }
+
+    // A CRLF-terminated request is the same request: the `\r` is framing.
+    // Stats carry the server-wide request counter, so the CRLF answer is
+    // the LF answer with that counter one higher.
+    {
+        let mut conn = RawConn::connect(addr);
+        let lf = conn.send_bytes(b"{\"type\":\"stats\"}\n");
+        let crlf = conn.send_bytes(b"{\"type\":\"stats\"}\r\n");
+        let Json::Obj(mut fields) = Json::parse(&lf).expect("stats parse") else {
+            panic!("stats is an object: {lf}");
+        };
+        let requests = fields
+            .iter_mut()
+            .find(|(key, _)| key == "requests")
+            .map(|(_, value)| value)
+            .expect("requests counter");
+        *requests = Json::num(requests.as_f64().expect("count") + 1.0);
+        assert_eq!(crlf, Json::Obj(fields).to_string());
+        // The JSON parser skips a stray `\r` as whitespace, but a parse
+        // error reports the byte where it stopped, so a `\r` left in the
+        // line would move it.
+        let lf = conn.send_bytes(b"{\"type\":\"stats\"\n");
+        let crlf = conn.send_bytes(b"{\"type\":\"stats\"\r\n");
+        assert!(lf.contains("at byte 15"), "{lf}");
+        assert_eq!(crlf, lf);
+    }
+
+    // Blank lines are skipped, not answered: the stats response is
+    // followed directly by the answer to the next request.
+    {
+        let mut conn = RawConn::connect(addr);
+        let stats = conn.send_bytes(b"\n\n{\"type\":\"stats\"}\n");
+        assert_eq!(
+            Json::parse(&stats)
+                .expect("stats parse")
+                .get("ok")
+                .and_then(Json::as_bool),
+            Some(true),
+            "{stats}"
+        );
+        let next = conn.send_line(r#"{"type":"no-such-verb"}"#);
+        assert_eq!(
+            Json::parse(&next)
+                .expect("error parse")
+                .get("ok")
+                .and_then(Json::as_bool),
+            Some(false),
+            "a blank line was answered: {next}"
+        );
+    }
+
+    // A line that is not UTF-8 gets one error line, then the server
+    // hangs up.
+    {
+        let mut conn = RawConn::connect(addr);
+        let response = conn.send_bytes(b"{\"type\":\"st\xffats\"}\n");
+        assert_eq!(
+            response,
+            dlm_serve::protocol::error_response("request line is not UTF-8").to_string()
+        );
+        assert_eq!(conn.read_line(), "", "connection closed after the error");
     }
 
     // Oversize declared length: the header promises more than

@@ -566,15 +566,17 @@ fn protocol_errors_do_not_kill_the_connection() {
     server.shutdown();
 }
 
-/// The PR's acceptance gate for the serving rework: the reactor front
-/// end speaking the negotiated binary framing with batched requests
-/// serves the **full default lineup** byte-identically to the legacy
-/// thread-per-connection front end speaking plain JSON lines — over
-/// real sockets, for the complete response stream.
+/// Gate E: the TCP front end adds nothing to the bytes. The same
+/// request stream over **the full default lineup**, replayed through a
+/// fresh [`ServerState::handle_line`] with no socket at all, is the
+/// reference; the reactor speaking JSON lines, the negotiated binary
+/// framing, and binary framing with batched requests must each serve
+/// exactly its bytes over real sockets, for the complete response
+/// stream.
 #[test]
-fn reactor_batch_binary_serves_the_lineup_byte_identically_to_legacy_lines() {
+fn reactor_serves_the_lineup_byte_identically_to_in_process_handle_line() {
     use dlm_serve::protocol::batch_response;
-    use dlm_serve::{FrontEnd, Transport};
+    use dlm_serve::Transport;
 
     let world = SyntheticWorld::generate(WorldConfig::default().scaled(0.12)).unwrap();
     let config = SimulationConfig {
@@ -619,22 +621,29 @@ fn reactor_batch_binary_serves_the_lineup_byte_identically_to_legacy_lines() {
     ));
     requests.push(r#"{"type":"snapshot","cascade":"s1"}"#.to_owned());
 
-    // Replays the stream against a fresh full-lineup server; with
-    // `batch > 1`, requests ride `batch` verbs and the raw batch
-    // responses are returned alongside the per-request stream.
-    let run = |front: FrontEnd,
-               transport: Transport,
-               batch: usize|
-     -> (Vec<String>, Vec<String>, String) {
-        let state = ServerState::with_world(
+    let fresh_state = || {
+        ServerState::with_world(
             ServeConfig {
                 parallelism: Parallelism::Fixed(2),
                 ..ServeConfig::default()
             },
             world.clone(),
         )
-        .unwrap();
-        let mut server = DlmServer::bind_with("127.0.0.1:0", Arc::new(state), front).unwrap();
+        .unwrap()
+    };
+
+    // The reference: the stream through the service core, no transport.
+    let oracle_state = fresh_state();
+    let oracle: Vec<String> = requests
+        .iter()
+        .map(|line| oracle_state.handle_line(line))
+        .collect();
+
+    // Replays the stream against a fresh full-lineup server; with
+    // `batch > 1`, requests ride `batch` verbs and the raw batch
+    // responses are returned alongside the per-request stream.
+    let run = |transport: Transport, batch: usize| -> (Vec<String>, Vec<String>, String) {
+        let mut server = DlmServer::bind_with("127.0.0.1:0", Arc::new(fresh_state()), 2).unwrap();
         let mut client = LineClient::connect(server.local_addr()).unwrap();
         client.negotiate(transport).unwrap();
         let mut responses = Vec::new();
@@ -666,42 +675,50 @@ fn reactor_batch_binary_serves_the_lineup_byte_identically_to_legacy_lines() {
         (responses, batch_raw, metrics_raw)
     };
 
-    let (legacy, _, legacy_metrics) = run(FrontEnd::ThreadPerConnection, Transport::Lines, 1);
-    let (reactor, _, reactor_metrics) =
-        run(FrontEnd::Reactor { io_threads: 2 }, Transport::Binary, 1);
-    let (_, batched, batched_metrics) =
-        run(FrontEnd::Reactor { io_threads: 2 }, Transport::Binary, 3);
+    let (lines, _, lines_metrics) = run(Transport::Lines, 1);
+    let (binary, _, binary_metrics) = run(Transport::Binary, 1);
+    let (_, batched, batched_metrics) = run(Transport::Binary, 3);
 
-    // Gate 1: reactor + binary framing, request by request, serves the
-    // same bytes the legacy line front end does — and non-vacuously so.
-    assert_eq!(legacy.len(), requests.len());
-    for (i, (l, r)) in legacy.iter().zip(&reactor).enumerate() {
+    // The reference is non-vacuous: every request succeeded, and the big
+    // forecast response really carries the full default lineup.
+    assert_eq!(oracle.len(), requests.len());
+    for (i, response) in oracle.iter().enumerate() {
         assert_eq!(
-            l, r,
-            "request {i}: reactor/binary diverged from legacy/lines"
-        );
-        assert_eq!(
-            Json::parse(l).unwrap().get("ok").and_then(Json::as_bool),
+            Json::parse(response)
+                .unwrap()
+                .get("ok")
+                .and_then(Json::as_bool),
             Some(true),
-            "request {i} failed: {l}"
+            "request {i} failed: {response}"
         );
     }
-    // The big forecast response really carries the full default lineup.
-    let forecast = Json::parse(&legacy[requests.len() - 3]).unwrap();
+    let forecast = Json::parse(&oracle[requests.len() - 3]).unwrap();
     assert_eq!(
         forecast.get("models").unwrap().as_array().unwrap().len(),
         ModelSpec::default_lineup().len(),
     );
 
+    // Gate 1: JSON lines and binary framing, request by request, serve
+    // exactly the in-process bytes.
+    for (name, served) in [("lines", &lines), ("binary", &binary)] {
+        assert_eq!(served.len(), oracle.len(), "reactor/{name} response count");
+        for (i, (o, r)) in oracle.iter().zip(served).enumerate() {
+            assert_eq!(
+                o, r,
+                "request {i}: reactor/{name} diverged from in-process handle_line"
+            );
+        }
+    }
+
     // Gate 2: the batched replay's raw wire bytes are exactly the
-    // per-request responses spliced through the canonical wrapper.
-    let expected: Vec<String> = legacy.chunks(3).map(batch_response).collect();
+    // in-process responses spliced through the canonical wrapper.
+    let expected: Vec<String> = oracle.chunks(3).map(batch_response).collect();
     assert_eq!(batched, expected, "batch framing changed response bytes");
 
     // Gate 3: the `metrics` scrape taken during each replay reports
     // per-verb request counters exactly matching the requests sent —
     // the stream is 1 open + HORIZON ingests + 2 forecasts + 1
-    // snapshot — with zero errors, on every front end and transport.
+    // snapshot — with zero errors, on every transport and batching.
     let ingests = u64::from(HORIZON);
     let per_verb: &[(&str, u64)] = &[
         ("open", 1),
@@ -745,8 +762,8 @@ fn reactor_batch_binary_serves_the_lineup_byte_identically_to_legacy_lines() {
         );
     };
     let total = requests.len() as u64;
-    verify(&legacy_metrics, "lines", 0, total);
-    verify(&reactor_metrics, "binary", 0, total);
+    verify(&lines_metrics, "lines", 0, total);
+    verify(&binary_metrics, "binary", 0, total);
     // chunks(3) over 10 requests → 4 batch wire lines, items still
     // counted under their own verbs.
     verify(
