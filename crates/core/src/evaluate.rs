@@ -25,11 +25,16 @@
 //!   reassembled in grid order, so the report is **byte-identical**
 //!   across all settings; only wall-clock changes.
 //! * **Fitted-model cache** — fits are deduplicated by
-//!   (canonical spec string, [`crate::predict::ObservationKey`]):
-//!   repeated specs over identical observation windows (e.g. a horizon
-//!   sweep where several forecast cases share the same observed hours)
-//!   fit once, and the cache persists across [`EvaluationPipeline::run`]
-//!   calls, so re-running a lineup is pure cache replay. The cache is a
+//!   `(spec, predictor.fit_key(observation))`: the canonical spec string
+//!   plus the [`crate::predict::ObservationKey`] of what the predictor's
+//!   fit reads ([`crate::predict::DiffusionPredictor::fit_key`] — the
+//!   whole observation by default, φ's hour and profile alone for `dl`
+//!   and `logistic`). Repeated specs over identical observation windows
+//!   (e.g. a horizon sweep where several forecast cases share the same
+//!   observed hours), and `dl`/`logistic` over any windows that share
+//!   their first hour, fit once. The cache persists across
+//!   [`EvaluationPipeline::run`] calls, so re-running a lineup is pure
+//!   cache replay. The cache is a
 //!   **bounded LRU** ([`FittedModelCache`], built on
 //!   [`crate::cache::LruCache`]): long-lived services keep fitting new
 //!   observations without growing memory without limit, and evictions
@@ -423,8 +428,8 @@ impl fmt::Display for EvaluationReport {
     }
 }
 
-/// The fitted-model cache key: canonical spec string plus observation
-/// content identity.
+/// The fitted-model cache key: canonical spec string plus the
+/// predictor's [`DiffusionPredictor::fit_key`] of the observation.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct FitKey {
     spec: String,
@@ -432,10 +437,12 @@ struct FitKey {
 }
 
 impl FitKey {
-    fn new(spec: &str, observation: &ObservationKey) -> Self {
+    /// The one keying rule of every fit cache lookup: `spec` must be the
+    /// canonical spec string of `predictor`.
+    fn new(spec: &str, predictor: &dyn DiffusionPredictor, observation: &Observation) -> Self {
         Self {
             spec: spec.to_owned(),
-            observation: observation.clone(),
+            observation: predictor.fit_key(observation),
         }
     }
 }
@@ -447,7 +454,14 @@ impl FitKey {
 pub type FitOutcome = std::result::Result<Arc<dyn FittedPredictor>, String>;
 
 /// The capacity-bounded fitted-model cache: (canonical spec string,
-/// [`ObservationKey`]) → [`FitOutcome`], with LRU eviction.
+/// `predictor.fit_key(observation)`) → [`FitOutcome`], with LRU
+/// eviction.
+///
+/// The observation half of the key is
+/// [`DiffusionPredictor::fit_key`]: the whole observation by default,
+/// only φ's hour and profile for `dl` and `logistic`, whose fits read
+/// nothing else — so a cascade's fits of those two through every later
+/// hour are one cache entry.
 ///
 /// [`EvaluationPipeline`] keeps one internally (size it with
 /// [`EvaluationPipeline::cache_capacity`]); long-lived consumers like
@@ -509,19 +523,6 @@ impl FittedModelCache {
         self.inner.stats()
     }
 
-    /// Looks up the fit for (`spec`, `observation`), promoting it on a
-    /// hit.
-    #[must_use]
-    pub fn lookup(&self, spec: &str, observation: &ObservationKey) -> Option<FitOutcome> {
-        self.inner.get(&FitKey::new(spec, observation))
-    }
-
-    /// Stores a fit outcome for (`spec`, `observation`), evicting the
-    /// least-recently-used entry if the cache is full.
-    pub fn store(&self, spec: &str, observation: &ObservationKey, outcome: FitOutcome) {
-        self.inner.insert(FitKey::new(spec, observation), outcome);
-    }
-
     /// Returns the cached fit for (`spec`, `observation`) or fits now
     /// and caches the outcome — the one-call path the online forecaster
     /// uses. `spec` must be the canonical spec string of `predictor`
@@ -532,7 +533,7 @@ impl FittedModelCache {
         spec: &str,
         observation: &Observation,
     ) -> FitOutcome {
-        let key = FitKey::new(spec, &observation.cache_key());
+        let key = FitKey::new(spec, predictor, observation);
         if let Some(outcome) = self.inner.get(&key) {
             return outcome;
         }
@@ -678,56 +679,41 @@ impl EvaluationPipeline {
                 ))
             })
             .collect::<Result<_>>()?;
-        let observation_keys: Vec<ObservationKey> =
-            prepared.iter().map(|(obs, _)| obs.cache_key()).collect();
-
         // Plan fits deterministically before anything runs: one fit job
-        // per unique (spec, observation) key not already cached, and a
-        // per-cell index into the run-local table of resolved fits.
-        // Planning up front (rather than memoizing inside workers) keeps
-        // the hit/miss counters and the fit set independent of thread
-        // scheduling; resolving cache hits *now* means the rest of the
-        // run never reads the shared cache again, so concurrent
-        // `clear_cache` calls or LRU evictions can bound memory but
-        // never yank a fit out from under an in-flight run.
+        // per unique `FitKey` — (spec, what that spec's fit reads from
+        // the case) — not already cached, and a per-cell index into the
+        // run-local table of resolved fits. Planning up front (rather
+        // than memoizing inside workers) keeps the hit/miss counters and
+        // the fit set independent of thread scheduling; resolving cache
+        // hits *now* means the rest of the run never reads the shared
+        // cache again, so concurrent `clear_cache` calls or LRU
+        // evictions can bound memory but never yank a fit out from
+        // under an in-flight run.
         let grid = self.specs.len() * cases.len();
-        // Dedupe case observations up front so the planning grid walk
-        // works with integer (spec, observation-slot) pairs — no FitKey
-        // construction (and no profile-bit clones) per grid cell.
-        let mut obs_slot_of_case: Vec<usize> = Vec::with_capacity(cases.len());
-        {
-            let mut slot_of: HashMap<&ObservationKey, usize> = HashMap::new();
-            for key in &observation_keys {
-                let next = slot_of.len();
-                obs_slot_of_case.push(*slot_of.entry(key).or_insert(next));
-            }
-        }
-        // (mi, ci, key index) per fit to run; key index per grid cell.
-        let mut fit_jobs: Vec<(usize, usize, usize)> = Vec::new();
+        // (mi, ci, key index, key) per fit to run; key index per grid cell.
+        let mut fit_jobs: Vec<(usize, usize, usize, FitKey)> = Vec::new();
         let mut key_of_cell: Vec<usize> = Vec::with_capacity(grid);
-        let mut unique_keys: Vec<FitKey> = Vec::new();
         // Resolved fit per unique key: cache hits fill in immediately,
         // fit jobs fill in after the fit stage.
         let mut resolved: Vec<Option<FitOutcome>> = Vec::new();
         let mut hits = 0u64;
         let evictions_before = self.cache.stats().evictions;
         {
-            let mut index_of: HashMap<(usize, usize), usize> = HashMap::new();
+            let mut index_of: HashMap<FitKey, usize> = HashMap::new();
             for (mi, spec) in spec_strings.iter().enumerate() {
-                for (ci, &slot) in obs_slot_of_case.iter().enumerate() {
-                    let idx = match index_of.get(&(mi, slot)) {
+                for (ci, (observation, _)) in prepared.iter().enumerate() {
+                    let key = FitKey::new(spec, predictors[mi].as_ref(), observation);
+                    let idx = match index_of.get(&key) {
                         Some(&idx) => {
                             hits += 1;
                             idx
                         }
                         None => {
-                            // First time this (spec, observation) shows
-                            // up: materialize its key once and probe the
+                            // First time this key shows up: probe the
                             // persistent cache (probing also promotes a
                             // resident fit, keeping the grid's working
                             // set away from the LRU eviction end).
-                            let key = FitKey::new(spec, &observation_keys[ci]);
-                            let idx = unique_keys.len();
+                            let idx = resolved.len();
                             match self.cache.inner.get(&key) {
                                 Some(fit) => {
                                     hits += 1;
@@ -735,11 +721,10 @@ impl EvaluationPipeline {
                                 }
                                 None => {
                                     resolved.push(None);
-                                    fit_jobs.push((mi, ci, idx));
+                                    fit_jobs.push((mi, ci, idx, key.clone()));
                                 }
                             }
-                            index_of.insert((mi, slot), idx);
-                            unique_keys.push(key);
+                            index_of.insert(key, idx);
                             idx
                         }
                     };
@@ -749,17 +734,16 @@ impl EvaluationPipeline {
         }
         let misses = fit_jobs.len() as u64;
 
-        // Fit each unique (spec, observation) once, stealing-balanced.
-        let fits: Vec<FitOutcome> = parallel_map(self.parallelism, &fit_jobs, |_, &(mi, ci, _)| {
-            predictors[mi]
-                .fit(&prepared[ci].0)
-                .map(Arc::from)
-                .map_err(|e| e.to_string())
-        });
-        for (&(_, _, idx), fit) in fit_jobs.iter().zip(fits) {
-            self.cache
-                .inner
-                .insert(unique_keys[idx].clone(), fit.clone());
+        // Fit each unique key once, stealing-balanced.
+        let fits: Vec<FitOutcome> =
+            parallel_map(self.parallelism, &fit_jobs, |_, (mi, ci, _, _)| {
+                predictors[*mi]
+                    .fit(&prepared[*ci].0)
+                    .map(Arc::from)
+                    .map_err(|e| e.to_string())
+            });
+        for ((_, _, idx, key), fit) in fit_jobs.into_iter().zip(fits) {
+            self.cache.inner.insert(key, fit.clone());
             resolved[idx] = Some(fit);
         }
         let evictions = self.cache.stats().evictions - evictions_before;
@@ -944,16 +928,18 @@ mod tests {
             .model(ModelSpec::paper_hops_dl())
             .model(ModelSpec::Naive);
         let cold = pipeline.run(&cases).unwrap();
-        // 2 models × 2 distinct observation windows: every cell fits.
+        // 2 models × 2 distinct observation windows, but the windows
+        // share hour 1 and `dl` reads nothing else: it fits once, the
+        // naive baseline (keyed by its whole window) twice.
         assert_eq!(
             cold.cache_stats(),
             CacheStats {
-                hits: 0,
-                misses: 4,
+                hits: 1,
+                misses: 3,
                 evictions: 0
             }
         );
-        assert_eq!(pipeline.cache_len(), 4);
+        assert_eq!(pipeline.cache_len(), 3);
         let warm = pipeline.run(&cases).unwrap();
         assert_eq!(
             warm.cache_stats(),
@@ -977,8 +963,8 @@ mod tests {
             EvaluationCase::paper_protocol("s1", Arc::clone(&m)).unwrap(),
             EvaluationCase::new("s1-short", Arc::clone(&m), 1, 4).unwrap(),
         ];
-        // 2 models x 2 distinct observation windows = 4 unique fits, but
-        // only 2 may stay resident.
+        // 2 models x 2 distinct observation windows = 3 unique fits (`dl`
+        // reads only the shared hour 1), but only 2 may stay resident.
         let pipeline = EvaluationPipeline::new()
             .model(ModelSpec::paper_hops_dl())
             .model(ModelSpec::Naive)
@@ -988,21 +974,22 @@ mod tests {
         assert_eq!(
             cold.cache_stats(),
             CacheStats {
-                hits: 0,
-                misses: 4,
-                evictions: 2
+                hits: 1,
+                misses: 3,
+                evictions: 1
             }
         );
         assert_eq!(pipeline.cache_len(), 2);
-        // Only the last two fits (grid order) survived; the first two
-        // re-fit on the warm run and evict the survivors in turn.
+        // Only the last two fits (grid order, both naive) survived; the
+        // `dl` fit re-fits on the warm run and evicts the least recently
+        // probed survivor.
         let warm = pipeline.run(&cases).unwrap();
         assert_eq!(
             warm.cache_stats(),
             CacheStats {
-                hits: 2,
-                misses: 2,
-                evictions: 2
+                hits: 3,
+                misses: 1,
+                evictions: 1
             }
         );
         // Eviction is an execution detail: the computed report is
@@ -1014,8 +1001,8 @@ mod tests {
         assert_eq!(unbounded.run(&cases).unwrap(), cold);
         // Lifetime counters accumulate across both bounded runs.
         let lifetime = pipeline.cache().stats();
-        assert_eq!(lifetime.evictions, 4);
-        assert_eq!(lifetime.misses, 6);
+        assert_eq!(lifetime.evictions, 2);
+        assert_eq!(lifetime.misses, 4);
     }
 
     #[test]

@@ -219,6 +219,11 @@ impl Prediction {
         Ok(self.values[di][hi])
     }
 
+    /// The raw values, `values[di][hi]` as in [`Prediction::from_values`].
+    pub(crate) fn into_values(self) -> Vec<Vec<f64>> {
+        self.values
+    }
+
     /// Predicted spatial profile (one value per distance) at `hour`.
     ///
     /// # Errors

@@ -248,6 +248,22 @@ impl Observation {
             }),
         }
     }
+
+    /// The content-identity key of the initial hour alone: φ's hour and
+    /// the exact bits of its profile, with no later hours and no graph.
+    ///
+    /// It is the [`DiffusionPredictor::fit_key`] of predictors whose fit
+    /// reads nothing but φ, so a cascade's observations through every
+    /// later hour share one fit. It equals the [`Observation::cache_key`]
+    /// of the single-profile, graph-free observation of that hour.
+    #[must_use]
+    pub fn initial_key(&self) -> ObservationKey {
+        ObservationKey {
+            hours: vec![self.hours[0]],
+            profile_bits: self.profiles[0].iter().map(|v| v.to_bits()).collect(),
+            graph: None,
+        }
+    }
 }
 
 /// Content-identity key of an [`Observation`] — the hashable half of the
@@ -339,6 +355,19 @@ pub trait DiffusionPredictor: fmt::Debug + Send + Sync {
     /// epidemic predictor without a [`GraphContext`], a trend predictor
     /// with a single profile, invalid densities, and so on.
     fn fit(&self, observation: &Observation) -> Result<Box<dyn FittedPredictor>>;
+
+    /// The key of everything [`DiffusionPredictor::fit`] reads from
+    /// `observation`: observations with equal fit keys must produce the
+    /// same fit. The fitted-model cache keys fits by it (see
+    /// [`crate::evaluate::FittedModelCache`]).
+    ///
+    /// The default, [`Observation::cache_key`], covers the whole
+    /// observation. A predictor that reads less may return a coarser
+    /// key, so observations that differ only in what it ignores share
+    /// one fit.
+    fn fit_key(&self, observation: &Observation) -> ObservationKey {
+        observation.cache_key()
+    }
 }
 
 /// A fitted model able to fill in prediction requests.
@@ -557,5 +586,25 @@ mod tests {
             .unwrap()
             .with_graph(GraphContext::new(graph, 0, vec![1]));
         assert_ne!(g1.cache_key(), other_seed.cache_key());
+    }
+
+    #[test]
+    fn initial_keys_track_only_the_initial_hour() {
+        let a = Observation::new(vec![1, 2], vec![vec![1.0, 2.0], vec![2.0, 3.0]]).unwrap();
+        let later = Observation::new(vec![1, 3], vec![vec![1.0, 2.0], vec![9.0, 9.0]]).unwrap();
+        let hour1 = Observation::from_profile(1, &[1.0, 2.0]).unwrap();
+        assert_eq!(a.initial_key(), later.initial_key());
+        assert_eq!(a.initial_key(), hour1.cache_key());
+        let graph = Arc::new(dlm_graph::GraphBuilder::new(2).build());
+        let with_graph = hour1
+            .clone()
+            .with_graph(GraphContext::new(graph, 0, vec![0]));
+        assert_eq!(with_graph.initial_key(), hour1.cache_key());
+        // φ's hour and bits still separate keys.
+        let shifted = Observation::from_profile(2, &[1.0, 2.0]).unwrap();
+        assert_ne!(a.initial_key(), shifted.initial_key());
+        let neg = Observation::from_profile(1, &[1.0, -0.0]).unwrap();
+        let pos = Observation::from_profile(1, &[1.0, 0.0]).unwrap();
+        assert_ne!(neg.initial_key(), pos.initial_key());
     }
 }

@@ -26,7 +26,7 @@ use crate::model::{DlModel, DlModelBuilder, Prediction};
 use crate::params::DlParameters;
 use crate::predict::{
     DiffusionPredictor, FitConfig, FittedPredictor, GraphContext, GrowthFamily, Observation,
-    PredictionRequest,
+    ObservationKey, PredictionRequest,
 };
 use crate::variable::{
     calibrate_per_distance_growth_series_multi, ConstantField, PerDistanceGrowth, VariableDlModel,
@@ -95,6 +95,125 @@ fn phi_readback(
 }
 
 // ---------------------------------------------------------------------------
+// Per-horizon prediction tables
+// ---------------------------------------------------------------------------
+
+/// Every value a fitted model predicts at one horizon: distances
+/// `1..=max_distance` × hours `initial_hour..=max_hour`, from one solve
+/// that ends at `max_hour`.
+#[derive(Debug)]
+struct HorizonTable {
+    max_hour: u32,
+    /// `values[d - 1][h - initial_hour]`.
+    values: Vec<Vec<f64>>,
+}
+
+/// A one-slot memo of a fitted model's predictions at its latest
+/// horizon, for models whose forward solve depends on the request only
+/// through its latest hour.
+///
+/// The DL solve takes the same steps for every request that ends at the
+/// same hour, and [`crate::model::DlModel::predict`] reads each
+/// `(distance, hour)` cell from the rows that bracket it alone; the
+/// logistic baseline takes the same RK4 steps up to the same hour and
+/// samples each distance and hour on its own. So a table filled by one
+/// solve over the full grid answers every request at that horizon with
+/// the bits a dedicated solve would produce. The slot holds one horizon:
+/// a request that ends at another hour solves again and replaces it.
+#[derive(Debug, Default)]
+struct HorizonMemo {
+    table: Mutex<Option<Arc<HorizonTable>>>,
+    /// Forward solves actually run (instrumentation).
+    solves: AtomicUsize,
+}
+
+impl Clone for HorizonMemo {
+    fn clone(&self) -> Self {
+        Self {
+            table: Mutex::new(self.table.lock().expect(TABLE_POISONED).clone()),
+            solves: AtomicUsize::new(self.solves.load(Ordering::Relaxed)),
+        }
+    }
+}
+
+const TABLE_POISONED: &str = "horizon table memo poisoned";
+
+impl HorizonMemo {
+    fn solves(&self) -> usize {
+        self.solves.load(Ordering::Relaxed)
+    }
+
+    /// Answers `request`, whose latest hour must be after
+    /// `initial_hour`, from the table at that hour, filling the table
+    /// with one `solve` over the full grid when the slot holds another
+    /// horizon. Requests the table cannot cover (a distance beyond
+    /// `max_distance`, an hour before `initial_hour`) and failed table
+    /// solves go to `solve` on the request itself, so their answers and
+    /// errors are the unmemoized ones. The lock is not held across the
+    /// solve: two racers on one horizon both solve and agree bit for
+    /// bit.
+    fn predict(
+        &self,
+        request: &PredictionRequest,
+        initial_hour: u32,
+        max_distance: u32,
+        solve: impl Fn(&[u32], &[u32]) -> Result<Prediction>,
+    ) -> Result<Prediction> {
+        let solve = |distances: &[u32], hours: &[u32]| {
+            self.solves.fetch_add(1, Ordering::Relaxed);
+            solve(distances, hours)
+        };
+        let max_hour = request.max_hour();
+        let covered = request.hours().iter().all(|&h| h >= initial_hour)
+            && request.distances().iter().all(|&d| d <= max_distance);
+        if !covered {
+            return solve(request.distances(), request.hours());
+        }
+        let cached = self
+            .table
+            .lock()
+            .expect(TABLE_POISONED)
+            .as_ref()
+            .filter(|table| table.max_hour == max_hour)
+            .map(Arc::clone);
+        let table = match cached {
+            Some(table) => table,
+            None => {
+                let distances: Vec<u32> = (1..=max_distance).collect();
+                let hours: Vec<u32> = (initial_hour..=max_hour).collect();
+                let Ok(full) = solve(&distances, &hours) else {
+                    return solve(request.distances(), request.hours());
+                };
+                let table = Arc::new(HorizonTable {
+                    max_hour,
+                    values: full.into_values(),
+                });
+                *self.table.lock().expect(TABLE_POISONED) = Some(Arc::clone(&table));
+                table
+            }
+        };
+        // Distances are 1-based (validated by the request).
+        let values = request
+            .distances()
+            .iter()
+            .map(|&d| {
+                let row = &table.values[d as usize - 1];
+                request
+                    .hours()
+                    .iter()
+                    .map(|&h| row[(h - initial_hour) as usize])
+                    .collect()
+            })
+            .collect();
+        Prediction::from_values(
+            request.distances().to_vec(),
+            request.hours().to_vec(),
+            values,
+        )
+    }
+}
+
+// ---------------------------------------------------------------------------
 // DL (fixed parameters)
 // ---------------------------------------------------------------------------
 
@@ -146,12 +265,18 @@ impl DlPredictor {
 }
 
 /// A fitted [`DlPredictor`].
+///
+/// Predictions are served from a table of the latest requested horizon
+/// (every distance × every hour from φ's), so repeat forecasts at one
+/// horizon run one PDE solve between them, with the bits of a direct
+/// [`DlModel::predict`].
 #[derive(Debug, Clone)]
 pub struct FittedDl {
     model: DlModel,
     growth: crate::growth::ExpDecayGrowth,
+    initial_hour: u32,
     initial: Vec<f64>,
-    name: &'static str,
+    memo: HorizonMemo,
 }
 
 impl FittedDl {
@@ -159,6 +284,13 @@ impl FittedDl {
     #[must_use]
     pub fn model(&self) -> &DlModel {
         &self.model
+    }
+
+    /// Number of PDE solves this fitted model has run — stays at one
+    /// across repeated `predict` calls that end at the same hour.
+    #[must_use]
+    pub fn solves(&self) -> usize {
+        self.memo.solves()
     }
 }
 
@@ -178,22 +310,33 @@ impl DiffusionPredictor for DlPredictor {
         Ok(Box::new(FittedDl {
             model,
             growth: config.growth.exp_decay(),
+            initial_hour: observation.initial_hour(),
             initial: observation.initial_profile().to_vec(),
-            name: "dl",
+            memo: HorizonMemo::default(),
         }))
+    }
+
+    /// The fit reads φ's hour and profile alone.
+    fn fit_key(&self, observation: &Observation) -> ObservationKey {
+        observation.initial_key()
     }
 }
 
 impl FittedPredictor for FittedDl {
     fn name(&self) -> &'static str {
-        self.name
+        "dl"
     }
 
     fn predict(&self, request: &PredictionRequest) -> Result<Prediction> {
         if f64::from(request.max_hour()) <= self.model.initial_time() {
             return phi_readback(request, self.model.initial_time(), &self.initial);
         }
-        self.model.predict(request.distances(), request.hours())
+        self.memo.predict(
+            request,
+            self.initial_hour,
+            self.initial.len() as u32,
+            |distances, hours| self.model.predict(distances, hours),
+        )
     }
 
     fn param_names(&self) -> Vec<String> {
@@ -539,12 +682,26 @@ impl LogisticOnlyPredictor {
 }
 
 /// A fitted [`LogisticOnlyPredictor`].
+///
+/// Like [`FittedDl`], predictions are served from a table of the latest
+/// requested horizon, bit-identical to a direct [`LogisticOnly::predict`].
 #[derive(Debug, Clone)]
 pub struct FittedLogisticOnly {
     baseline: LogisticOnly,
     growth: crate::growth::ExpDecayGrowth,
-    initial_time: f64,
+    initial_hour: u32,
     initial: Vec<f64>,
+    memo: HorizonMemo,
+}
+
+impl FittedLogisticOnly {
+    /// Number of ODE solves (one per call of the baseline's `predict`)
+    /// this fitted model has run — stays at one across repeated `predict`
+    /// calls that end at the same hour.
+    #[must_use]
+    pub fn solves(&self) -> usize {
+        self.memo.solves()
+    }
 }
 
 impl DiffusionPredictor for LogisticOnlyPredictor {
@@ -553,19 +710,24 @@ impl DiffusionPredictor for LogisticOnlyPredictor {
     }
 
     fn fit(&self, observation: &Observation) -> Result<Box<dyn FittedPredictor>> {
-        let initial_time = f64::from(observation.initial_hour());
         let baseline = LogisticOnly::with_shared_growth(
             observation.initial_profile(),
             self.growth.build(),
             self.capacity,
-            initial_time,
+            f64::from(observation.initial_hour()),
         )?;
         Ok(Box::new(FittedLogisticOnly {
             baseline,
             growth: self.growth.exp_decay(),
-            initial_time,
+            initial_hour: observation.initial_hour(),
             initial: observation.initial_profile().to_vec(),
+            memo: HorizonMemo::default(),
         }))
+    }
+
+    /// The fit reads φ's hour and profile alone.
+    fn fit_key(&self, observation: &Observation) -> ObservationKey {
+        observation.initial_key()
     }
 }
 
@@ -578,21 +740,23 @@ impl FittedPredictor for FittedLogisticOnly {
         // The per-distance ODE trajectory starts at the fitted initial
         // time; earlier hours are outside the solved domain (the raw
         // baseline would silently clamp them to the initial state).
-        if let Some(&h) = request
-            .hours()
-            .iter()
-            .find(|&&h| f64::from(h) < self.initial_time)
-        {
+        let initial_time = f64::from(self.initial_hour);
+        if let Some(&h) = request.hours().iter().find(|&&h| h < self.initial_hour) {
             return Err(DlError::OutOfDomain {
                 axis: "time",
                 value: f64::from(h),
-                range: (self.initial_time, f64::INFINITY),
+                range: (initial_time, f64::INFINITY),
             });
         }
-        if f64::from(request.max_hour()) <= self.initial_time {
-            return phi_readback(request, self.initial_time, &self.initial);
+        if request.max_hour() <= self.initial_hour {
+            return phi_readback(request, initial_time, &self.initial);
         }
-        self.baseline.predict(request.distances(), request.hours())
+        self.memo.predict(
+            request,
+            self.initial_hour,
+            self.initial.len() as u32,
+            |distances, hours| self.baseline.predict(distances, hours),
+        )
     }
 
     fn param_names(&self) -> Vec<String> {
@@ -1015,6 +1179,132 @@ mod tests {
         .unwrap();
         assert_eq!(p, direct);
         assert_eq!(fitted.param_names()[0], "K");
+    }
+
+    /// The requests a cascade's forecasts make of one fit: every
+    /// `through` k with hours k+1..=T, an unsorted subset ending at T, a
+    /// request that includes φ's hour, then horizons 6, 8, 6.
+    fn horizon_requests(last: u32) -> Vec<PredictionRequest> {
+        let all: Vec<u32> = (1..=6).collect();
+        let mut out: Vec<PredictionRequest> = (1..last)
+            .map(|k| PredictionRequest::new(all.clone(), (k + 1..=last).collect()).unwrap())
+            .collect();
+        out.push(PredictionRequest::new(vec![5, 2, 3], vec![4, last, 2]).unwrap());
+        out.push(PredictionRequest::new(all.clone(), vec![1, 3, last]).unwrap());
+        for horizon in [6, 8, 6] {
+            out.push(PredictionRequest::new(all.clone(), (2..=horizon).collect()).unwrap());
+        }
+        out
+    }
+
+    fn same_bits(a: &Prediction, b: &Prediction) -> bool {
+        a.distances() == b.distances()
+            && a.hours() == b.hours()
+            && a.distances().iter().all(|&d| {
+                a.hours()
+                    .iter()
+                    .all(|&h| a.at(d, h).unwrap().to_bits() == b.at(d, h).unwrap().to_bits())
+            })
+    }
+
+    #[test]
+    fn dl_horizon_table_serves_direct_solve_bits() {
+        let last = 8;
+        // The default step divides every hour; a 0.3 h step does not, so
+        // each horizon steps on its own grid and only a table of the
+        // request's own horizon reads out the direct solve's bits.
+        for dt in [crate::pde::SolverConfig::default().dt, 0.3] {
+            let model = crate::model::DlModelBuilder::new(DlParameters::paper_hops(6).unwrap())
+                .growth(crate::growth::ExpDecayGrowth::paper_hops())
+                .solver(crate::pde::SolverConfig {
+                    dt,
+                    ..crate::pde::SolverConfig::default()
+                })
+                .build(&OBS1)
+                .unwrap();
+            let fitted = FittedDl {
+                model,
+                growth: crate::growth::ExpDecayGrowth::paper_hops(),
+                initial_hour: 1,
+                initial: OBS1.to_vec(),
+                memo: HorizonMemo::default(),
+            };
+            let requests = horizon_requests(last);
+            for (i, request) in requests.iter().enumerate() {
+                let served = fitted.predict(request).unwrap();
+                let direct = fitted
+                    .model()
+                    .predict(request.distances(), request.hours())
+                    .unwrap();
+                assert!(
+                    same_bits(&served, &direct),
+                    "dt {dt}, request {i}: {request:?}"
+                );
+                if i + 2 == last as usize {
+                    assert_eq!(fitted.solves(), 1, "T-1 same-horizon forecasts");
+                }
+            }
+            // One table for hour 8, then one per horizon switch (6, 8, 6).
+            assert_eq!(fitted.solves(), 4);
+            // Clones carry the table.
+            let cloned = fitted.clone();
+            cloned.predict(requests.last().unwrap()).unwrap();
+            assert_eq!(cloned.solves(), 4);
+            // Uncovered requests take the direct path with its errors.
+            for (distances, hours) in [(vec![1, 7], vec![2, 6]), (vec![2], vec![0, 6])] {
+                let request = PredictionRequest::new(distances.clone(), hours.clone()).unwrap();
+                let served = fitted.predict(&request).unwrap_err().to_string();
+                let direct = fitted
+                    .model()
+                    .predict(&distances, &hours)
+                    .unwrap_err()
+                    .to_string();
+                assert_eq!(served, direct);
+            }
+        }
+    }
+
+    #[test]
+    fn logistic_horizon_table_serves_direct_solve_bits() {
+        let last = 8;
+        let direct_model = LogisticOnly::new(
+            &OBS1,
+            crate::growth::ExpDecayGrowth::paper_hops(),
+            25.0,
+            1.0,
+        )
+        .unwrap();
+        let fitted = FittedLogisticOnly {
+            baseline: direct_model.clone(),
+            growth: crate::growth::ExpDecayGrowth::paper_hops(),
+            initial_hour: 1,
+            initial: OBS1.to_vec(),
+            memo: HorizonMemo::default(),
+        };
+        for (i, request) in horizon_requests(last).iter().enumerate() {
+            let served = fitted.predict(request).unwrap();
+            let direct = direct_model
+                .predict(request.distances(), request.hours())
+                .unwrap();
+            assert!(same_bits(&served, &direct), "request {i}: {request:?}");
+            if i + 2 == last as usize {
+                assert_eq!(fitted.solves(), 1, "T-1 same-horizon forecasts");
+            }
+        }
+        assert_eq!(fitted.solves(), 4);
+        let far = PredictionRequest::new(vec![1, 7], vec![2, 6]).unwrap();
+        assert_eq!(
+            fitted.predict(&far).unwrap_err().to_string(),
+            direct_model
+                .predict(&[1, 7], &[2, 6])
+                .unwrap_err()
+                .to_string()
+        );
+        let early = PredictionRequest::new(vec![2], vec![0, 6]).unwrap();
+        assert_eq!(
+            fitted.predict(&early).unwrap_err().to_string(),
+            "time 0 outside solved domain [1, inf]"
+        );
     }
 
     #[test]

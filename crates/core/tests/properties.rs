@@ -16,6 +16,31 @@ fn profiles() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(0.05f64..8.0, 4..8)
 }
 
+/// Random 8-hour vote counts for 2..6 distance groups of 1000 users
+/// (densities up to 20%, below K = 25).
+fn count_matrices() -> impl Strategy<Value = Vec<Vec<usize>>> {
+    prop::collection::vec(prop::collection::vec(0usize..200, 8), 2..6)
+}
+
+/// Fits `predictor` on `observation` and predicts `request`: the
+/// fitted parameters and predicted cells as bits, or the error text.
+fn fit_bits(
+    predictor: &dyn dlm_core::DiffusionPredictor,
+    observation: &dlm_core::Observation,
+    request: &dlm_core::PredictionRequest,
+) -> Result<(Vec<u64>, Vec<u64>), String> {
+    let fitted = predictor.fit(observation).map_err(|e| e.to_string())?;
+    let prediction = fitted.predict(request).map_err(|e| e.to_string())?;
+    let params = fitted.params().iter().map(|p| p.to_bits()).collect();
+    let mut cells = Vec::new();
+    for &d in request.distances() {
+        for &h in request.hours() {
+            cells.push(prediction.at(d, h).unwrap().to_bits());
+        }
+    }
+    Ok((params, cells))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -114,6 +139,36 @@ proptest! {
             if let Some(avg) = table.row_average(d) {
                 prop_assert!((0.0..=1.0).contains(&avg));
             }
+        }
+    }
+
+    #[test]
+    fn hour_one_keyed_fits_ignore_later_hours(counts in count_matrices(), k in 2u32..8) {
+        // `dl` and `logistic` key their fits by hour 1 alone; fitting on
+        // hours 1..=k must give exactly the hour-1-only fit.
+        use dlm_cascade::DensityMatrix;
+        use dlm_core::predict::GrowthFamily;
+        use dlm_core::zoo::{DlPredictor, LogisticOnlyPredictor};
+        use dlm_core::{DiffusionPredictor, Observation, PredictionRequest};
+        let matrix = DensityMatrix::from_counts(&counts, &vec![1000; counts.len()]).unwrap();
+        let through_k = Observation::from_matrix(&matrix, &(1..=k).collect::<Vec<_>>()).unwrap();
+        let hour1 = Observation::from_matrix(&matrix, &[1]).unwrap();
+        let request =
+            PredictionRequest::new((1..=counts.len() as u32).collect(), (k + 1..=8).collect())
+                .unwrap();
+        let predictors: [Box<dyn DiffusionPredictor>; 2] = [
+            Box::new(DlPredictor::paper_hops()),
+            Box::new(LogisticOnlyPredictor::new(25.0, GrowthFamily::PaperHops)),
+        ];
+        for predictor in &predictors {
+            prop_assert_eq!(predictor.fit_key(&through_k), predictor.fit_key(&hour1));
+            let full = fit_bits(predictor.as_ref(), &through_k, &request);
+            prop_assert!(full.is_ok(), "{}: {:?}", predictor.name(), full);
+            prop_assert_eq!(
+                full,
+                fit_bits(predictor.as_ref(), &hour1, &request),
+                "{}", predictor.name()
+            );
         }
     }
 

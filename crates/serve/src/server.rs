@@ -20,6 +20,13 @@
 //! scheduler simply fits on demand through the same
 //! [`FittedModelCache::get_or_fit`] path and gets the identical result.
 //!
+//! The cache keys each fit by what it reads
+//! ([`DiffusionPredictor::fit_key`]): `dl` and `logistic` read hour 1
+//! alone, so one fit serves a cascade's every later hour, and a repeat
+//! forecast replays both that fit and the horizon table the fitted model
+//! keeps (every distance × every hour up to the forecast's last), with
+//! no new solve and the same bytes.
+//!
 //! [`EvaluationPipeline`]: dlm_core::evaluate::EvaluationPipeline
 
 use crate::error::{Result, ServeError};

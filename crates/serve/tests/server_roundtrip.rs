@@ -848,3 +848,129 @@ fn graph_only_server_opens_by_initiator_and_counts_regimes() {
     );
     server.shutdown();
 }
+
+/// With prewarm on, a cascade forecast after every closed hour refits a
+/// whole-observation model (`naive`, `linear-trend`) once per hour, but
+/// fits `dl` and `logistic` — keyed by hour 1 alone — once per cascade;
+/// every forecast still carries the bits of an offline fit+predict on
+/// that hour's observation.
+#[test]
+fn hour_one_keyed_models_fit_once_per_cascade_while_forecasts_track_every_hour() {
+    const LAST: u32 = 8;
+    let world = SyntheticWorld::generate(WorldConfig::default().scaled(0.12)).unwrap();
+    let cascade = simulate_story(
+        &world,
+        &StoryPreset::s1(),
+        SimulationConfig {
+            hours: LAST,
+            substeps: 2,
+            seed: 13,
+        },
+    )
+    .unwrap();
+    let matrix = hop_density_matrix(world.graph(), &cascade, MAX_HOPS, LAST).unwrap();
+    let distances: Vec<u32> = (1..=matrix.max_distance()).collect();
+    let registry = ModelRegistry::with_builtins();
+    let lineup = [
+        (ModelSpec::Naive, false),
+        (ModelSpec::LinearTrend, false),
+        (ModelSpec::paper_hops_dl(), true),
+        (
+            ModelSpec::LogisticOnly {
+                capacity: 25.0,
+                growth: dlm_core::predict::GrowthFamily::PaperHops,
+            },
+            true,
+        ),
+    ];
+    for (spec, keyed_by_hour_one) in lineup {
+        let state = ServerState::with_world(
+            ServeConfig {
+                lineup: vec![spec.clone()],
+                prewarm: true,
+                parallelism: Parallelism::Serial,
+                ..ServeConfig::default()
+            },
+            world.clone(),
+        )
+        .unwrap();
+        let send = |line: &str| -> Json {
+            let response = Json::parse(&state.handle_line(line)).unwrap();
+            assert_eq!(
+                response.get("ok").unwrap().as_bool(),
+                Some(true),
+                "{response}"
+            );
+            response
+        };
+        send(&format!(
+            r#"{{"type":"open","cascade":"c","initiator":{},"max_hops":{MAX_HOPS},"horizon":{LAST},"submit_time":{}}}"#,
+            cascade.initiator(),
+            cascade.submit_time(),
+        ));
+        for hour in 1..=LAST {
+            let start = cascade.submit_time() + u64::from(hour - 1) * 3600;
+            let end = start + 3600;
+            let votes: Vec<String> = cascade
+                .votes()
+                .iter()
+                .filter(|v| (start..end).contains(&v.timestamp))
+                .map(|v| format!("[{},{}]", v.timestamp, v.voter))
+                .collect();
+            send(&format!(
+                r#"{{"type":"ingest","cascade":"c","votes":[{}],"now":{end}}}"#,
+                votes.join(","),
+            ));
+            if hour < LAST {
+                let hours: Vec<u32> = (hour + 1..=LAST).collect();
+                let forecast = send(&format!(
+                    r#"{{"type":"forecast","cascade":"c","hours":{hours:?},"through":{hour}}}"#,
+                ));
+                let entry = &forecast.get("models").unwrap().as_array().unwrap()[0];
+                let observation =
+                    dlm_core::Observation::from_matrix(&matrix, &(1..=hour).collect::<Vec<_>>())
+                        .unwrap();
+                let request = PredictionRequest::new(distances.clone(), hours.clone()).unwrap();
+                let offline = registry
+                    .build(&spec)
+                    .unwrap()
+                    .fit(&observation)
+                    .and_then(|fitted| fitted.predict(&request));
+                match offline {
+                    Ok(prediction) => {
+                        let values = entry.get("values").unwrap().as_array().unwrap();
+                        for (di, &d) in distances.iter().enumerate() {
+                            let row = values[di].as_array().unwrap();
+                            for (hi, &h) in hours.iter().enumerate() {
+                                assert_eq!(
+                                    f64_bits(&row[hi]),
+                                    prediction.at(d, h).unwrap().to_bits(),
+                                    "{spec} through {hour}: I({d}, {h}) diverges"
+                                );
+                            }
+                        }
+                    }
+                    Err(e) => assert_eq!(
+                        entry.get("error").unwrap().as_str(),
+                        Some(e.to_string().as_str()),
+                        "{spec} through {hour}"
+                    ),
+                }
+            }
+            let stats = send(r#"{"type":"stats"}"#);
+            let misses = stats
+                .get("cache")
+                .unwrap()
+                .get("misses")
+                .unwrap()
+                .as_u64()
+                .unwrap();
+            let expected = if keyed_by_hour_one {
+                1
+            } else {
+                u64::from(hour)
+            };
+            assert_eq!(misses, expected, "{spec} after hour {hour}");
+        }
+    }
+}
