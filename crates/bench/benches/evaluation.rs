@@ -1,7 +1,7 @@
 //! Throughput harness for the parallel evaluation engine.
 //!
 //! Runs the full model-zoo lineup over a grid of forecast cases four
-//! ways — serial vs work-stealing parallel, cold vs warm fitted-model
+//! ways — serial vs pooled parallel, cold vs warm fitted-model
 //! cache — verifies that every configuration produces a byte-identical
 //! [`EvaluationReport`], and writes the timings to
 //! `BENCH_evaluation.json` (override with `DLM_BENCH_OUT`).

@@ -78,7 +78,7 @@ pub struct CalibrationOptions {
     /// solve for speed).
     pub solver: SolverConfig,
     /// Multi-start strategy: start count, deterministic seeding, and
-    /// scheduling of the independent starts on the work-stealing pool.
+    /// scheduling of the independent starts on the executor pool.
     /// (`multi_start.local.max_evals` is overridden by
     /// [`CalibrationOptions::max_evals`].) The single-start default
     /// reproduces the classic seeded Nelder–Mead exactly.

@@ -17,8 +17,8 @@
 //! The models × cases grid is embarrassingly parallel, and the pipeline
 //! exploits that in two layers:
 //!
-//! * **Work stealing** — fit and score jobs run on the scoped
-//!   work-stealing executor in [`dlm_numerics::pool`], controlled by a
+//! * **Pooled fan-out** — fit and score jobs run on the persistent
+//!   executor in [`dlm_numerics::pool`], controlled by a
 //!   [`Parallelism`] knob ([`Parallelism::Serial`],
 //!   [`Parallelism::Auto`] — the default — or
 //!   [`Parallelism::Fixed`]`(n)`). Every job is pure and results are
@@ -46,7 +46,7 @@
 //! The cache is also usable on its own: `dlm-serve`'s online forecaster
 //! shares the same [`FittedModelCache`] type (and therefore the same
 //! keying and bounding discipline) through
-//! [`FittedModelCache::get_or_fit`].
+//! [`FittedModelCache::lookup`] and [`FittedModelCache::fit_miss`].
 
 use crate::accuracy::AccuracyTable;
 pub use crate::cache::CacheStats;
@@ -466,9 +466,10 @@ pub type FitOutcome = std::result::Result<Arc<dyn FittedPredictor>, String>;
 /// [`EvaluationPipeline`] keeps one internally (size it with
 /// [`EvaluationPipeline::cache_capacity`]); long-lived consumers like
 /// the `dlm-serve` online forecaster hold their own and drive it through
-/// [`FittedModelCache::get_or_fit`]. Counters returned by
-/// [`FittedModelCache::stats`] accumulate over the cache's lifetime —
-/// the per-run view lives on [`EvaluationReport::cache_stats`].
+/// [`FittedModelCache::lookup`] and [`FittedModelCache::fit_miss`].
+/// Counters returned by [`FittedModelCache::stats`] accumulate over the
+/// cache's lifetime — the per-run view lives on
+/// [`EvaluationReport::cache_stats`].
 #[derive(Debug)]
 pub struct FittedModelCache {
     inner: LruCache<FitKey, FitOutcome>,
@@ -523,27 +524,58 @@ impl FittedModelCache {
         self.inner.stats()
     }
 
-    /// Returns the cached fit for (`spec`, `observation`) or fits now
-    /// and caches the outcome — the one-call path the online forecaster
-    /// uses. `spec` must be the canonical spec string of `predictor`
+    /// Looks up the fit for (`spec`, `observation`), counting one hit or
+    /// one miss. `spec` must be the canonical spec string of `predictor`
     /// (i.e. [`ModelSpec`]'s `Display`), or unrelated fits would alias.
-    pub fn get_or_fit(
+    ///
+    /// A miss is resolved by [`FittedModelCache::fit_miss`], on this
+    /// thread or another: the online forecaster looks up a request's
+    /// every fit on the calling thread, then runs only the expensive
+    /// misses elsewhere.
+    pub fn lookup(
         &self,
         predictor: &dyn DiffusionPredictor,
         spec: &str,
         observation: &Observation,
-    ) -> FitOutcome {
+    ) -> FitLookup {
         let key = FitKey::new(spec, predictor, observation);
-        if let Some(outcome) = self.inner.get(&key) {
-            return outcome;
+        match self.inner.get(&key) {
+            Some(outcome) => FitLookup::Hit(outcome),
+            None => FitLookup::Miss(FitMiss { key }),
         }
+    }
+
+    /// Fits a looked-up miss and caches the outcome. `predictor` and
+    /// `observation` must be the ones `miss` was looked up with.
+    pub fn fit_miss(
+        &self,
+        miss: &FitMiss,
+        predictor: &dyn DiffusionPredictor,
+        observation: &Observation,
+    ) -> FitOutcome {
         let outcome: FitOutcome = predictor
             .fit(observation)
             .map(Arc::from)
             .map_err(|e| e.to_string());
-        self.inner.insert(key, outcome.clone());
+        self.inner.insert(miss.key.clone(), outcome.clone());
         outcome
     }
+}
+
+/// What [`FittedModelCache::lookup`] found.
+#[derive(Debug)]
+pub enum FitLookup {
+    /// The cached outcome.
+    Hit(FitOutcome),
+    /// No resident fit: resolve it with [`FittedModelCache::fit_miss`].
+    Miss(FitMiss),
+}
+
+/// A fit [`FittedModelCache::lookup`] did not find, keyed for
+/// [`FittedModelCache::fit_miss`] to cache.
+#[derive(Debug)]
+pub struct FitMiss {
+    key: FitKey,
 }
 
 /// Runs a set of registered models over a set of cascades.

@@ -28,7 +28,7 @@
 //! [`registry::ModelSpec`]s through the [`registry::ModelRegistry`], and
 //! [`evaluate::EvaluationPipeline`] runs any set of registered models
 //! over any set of cascades, emitting per-model Eq.-8 accuracy tables in
-//! one call — work-stealing parallel across the grid (the
+//! one call — parallel across the grid (the
 //! [`evaluate::Parallelism`] knob; every setting is byte-identical) with
 //! a persistent fitted-model cache deduplicating repeated
 //! (spec, observation) fits.
@@ -123,8 +123,8 @@ pub use accuracy::AccuracyTable;
 pub use cache::LruCache;
 pub use error::{DlError, Result};
 pub use evaluate::{
-    CacheStats, EvaluationCase, EvaluationPipeline, EvaluationReport, FitOutcome, FittedModelCache,
-    Parallelism,
+    CacheStats, EvaluationCase, EvaluationPipeline, EvaluationReport, FitLookup, FitMiss,
+    FitOutcome, FittedModelCache, Parallelism,
 };
 pub use model::{DlModel, DlModelBuilder, Prediction};
 pub use params::DlParameters;

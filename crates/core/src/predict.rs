@@ -368,6 +368,15 @@ pub trait DiffusionPredictor: fmt::Debug + Send + Sync {
     fn fit_key(&self, observation: &Observation) -> ObservationKey {
         observation.cache_key()
     }
+
+    /// Whether [`DiffusionPredictor::fit`] runs a parameter search
+    /// (many model solves, milliseconds and up) rather than a closed
+    /// form. A server fans searched fits out to worker threads and runs
+    /// the rest inline, where a thread hand-off would cost more than
+    /// the fit. The default is `false`.
+    fn fit_searches(&self) -> bool {
+        false
+    }
 }
 
 /// A fitted model able to fill in prediction requests.

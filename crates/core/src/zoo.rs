@@ -428,6 +428,11 @@ impl DiffusionPredictor for CalibratedDlPredictor {
         "dl-cal"
     }
 
+    /// Calibration is a Nelder–Mead search over PDE solves.
+    fn fit_searches(&self) -> bool {
+        true
+    }
+
     fn fit(&self, observation: &Observation) -> Result<Box<dyn FittedPredictor>> {
         let (lower, upper) = spatial_domain(observation)?;
         if observation.hours().len() < 2 {
@@ -568,6 +573,12 @@ impl FittedVariableDl {
 impl DiffusionPredictor for VariableDlPredictor {
     fn name(&self) -> &'static str {
         "variable-dl"
+    }
+
+    /// Per-distance growth calibration is a multi-start search; the
+    /// time-only growth fit is closed-form.
+    fn fit_searches(&self) -> bool {
+        self.per_distance_growth
     }
 
     fn fit(&self, observation: &Observation) -> Result<Box<dyn FittedPredictor>> {

@@ -24,7 +24,7 @@
 //!   calibration).
 //! * [`mix`] — the SplitMix64 avalanche shared by the multi-start seed
 //!   grid and the router's ring hashing.
-//! * [`pool`] — scoped work-stealing executor for embarrassingly parallel
+//! * [`pool`] — persistent, caller-first executor for embarrassingly parallel
 //!   grids (batch evaluation).
 //! * [`least_squares`] — Levenberg–Marquardt (growth-rate curve fits).
 //! * [`quadrature`] — trapezoid and Simpson rules.

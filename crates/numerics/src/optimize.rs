@@ -10,7 +10,7 @@
 //! strand it in a poor basin; [`multi_start_nelder_mead`] restarts it from
 //! a deterministic stratified grid of seed points
 //! ([`stratified_starts`]) and fans the independent starts onto the
-//! work-stealing executor in [`crate::pool`]. Selection is a total order
+//! executor in [`crate::pool`]. Selection is a total order
 //! (objective bits, then start index), so the outcome is byte-identical
 //! under every [`Parallelism`] setting. The fitting semantics are
 //! specified normatively in `docs/CALIBRATION.md`.
@@ -519,7 +519,7 @@ pub fn stratified_starts(bounds: &[(f64, f64)], count: usize, seed: u64) -> Resu
 /// inside `bounds` ([`stratified_starts`] keyed by `cfg.seed`), and
 /// returns the best local minimum found.
 ///
-/// The starts are scheduled on the work-stealing executor in
+/// The starts are scheduled on the executor in
 /// [`crate::pool`] under `cfg.parallelism`; because each start is an
 /// independent pure computation and the winner is selected by a **total
 /// order** — ascending [`f64::total_cmp`] on the objective value

@@ -11,9 +11,9 @@
 //!   matrix whose hour-boundary snapshots are bit-identical to the batch
 //!   `dlm-cascade` builders on the same prefix;
 //! * [`server`] — **the service core and refit scheduler**: closing an
-//!   hour enqueues one fit job per registered model onto the
-//!   work-stealing executor in [`dlm_numerics::pool`], with outcomes
-//!   cached in the bounded LRU
+//!   hour fits every registered model — cache lookups and closed-form
+//!   fits inline, parameter searches on the executor in
+//!   [`dlm_numerics::pool`] — with outcomes cached in the bounded LRU
 //!   [`dlm_core::evaluate::FittedModelCache`]; forecasts replay the
 //!   cache through the exact fit path of the offline
 //!   [`dlm_core::evaluate::EvaluationPipeline`], so a served forecast is
@@ -32,10 +32,11 @@
 //!   at the repository root; the `dlm-router` crate speaks the same
 //!   protocol in front of many backends.
 //!
-//! [`server::DlmServer`] serves it all over TCP through a nonblocking,
-//! std-only readiness reactor: a fixed I/O worker pool multiplexing
-//! every connection, so thousands of connections cost buffers rather
-//! than threads.
+//! [`server::DlmServer`] serves it all over TCP through an epoll
+//! readiness reactor (Linux): a fixed I/O worker pool multiplexing
+//! every connection, each worker blocking in its own `epoll_wait`, so
+//! thousands of connections cost buffers rather than threads and an
+//! idle server costs no CPU.
 //!
 //! The elastic-cluster layer rides on `dlm-cluster`'s versioned
 //! snapshot codec: [`live::LiveCascade::to_snapshot`] captures a
@@ -77,6 +78,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod client;
+mod epoll;
 pub mod error;
 pub mod json;
 pub mod live;

@@ -12,13 +12,19 @@
 //!
 //! ## Refit scheduling
 //!
-//! When an ingest batch closes one or more hours, the server enqueues
-//! one fit job per registered model for each newly closed hour onto the
-//! work-stealing executor in [`dlm_numerics::pool`] and stores the
-//! outcomes in the cache. A subsequent `forecast` for those hours is
-//! then a pure cache replay; a `forecast` that raced ahead of the
-//! scheduler simply fits on demand through the same
-//! [`FittedModelCache::get_or_fit`] path and gets the identical result.
+//! When an ingest batch closes one or more hours, the server fits every
+//! registered model for each newly closed hour and stores the outcomes
+//! in the cache. A subsequent `forecast` for those hours is then a pure
+//! cache replay; a `forecast` that raced ahead of the scheduler simply
+//! fits on demand through the same path and gets the identical result.
+//!
+//! Both resolve their fits the same way: every
+//! [`FittedModelCache::lookup`] runs on the calling I/O worker, a miss
+//! with a closed-form fit is fitted right there, and only misses whose
+//! fit is a parameter search ([`DiffusionPredictor::fit_searches`]:
+//! `dl-cal`, per-distance `variable-dl`) fan out to the persistent pool
+//! in [`dlm_numerics::pool`]. A request whose fits are all cache hits or
+//! closed forms never hands work to another thread.
 //!
 //! The cache keys each fit by what it reads
 //! ([`DiffusionPredictor::fit_key`]): `dl` and `logistic` read hour 1
@@ -40,7 +46,7 @@ use crate::telemetry::{
 };
 use dlm_cascade::interest_groups::interest_groups;
 use dlm_cluster::{hash64, hex, CascadeSnapshot};
-use dlm_core::evaluate::{FitOutcome, FittedModelCache, Parallelism};
+use dlm_core::evaluate::{FitLookup, FitMiss, FitOutcome, FittedModelCache, Parallelism};
 use dlm_core::predict::{DiffusionPredictor, GraphContext, Observation, PredictionRequest};
 use dlm_core::registry::{ModelRegistry, ModelSpec};
 use dlm_data::SyntheticWorld;
@@ -208,7 +214,19 @@ impl ServerState {
     /// Propagates registry construction errors for the configured
     /// lineup.
     pub fn new(config: ServeConfig) -> Result<Self> {
-        Self::build(config, None)
+        Self::build(config, None, ModelRegistry::with_builtins())
+    }
+
+    /// Like [`ServerState::new`], but builds the lineup and ad-hoc
+    /// forecast specs through `registry` — how an embedding substitutes
+    /// its own predictor for a spec kind.
+    ///
+    /// # Errors
+    ///
+    /// Propagates registry construction errors for the configured
+    /// lineup.
+    pub fn with_registry(config: ServeConfig, registry: ModelRegistry) -> Result<Self> {
+        Self::build(config, None, registry)
     }
 
     /// Creates a server core around a synthetic world, enabling protocol
@@ -219,7 +237,11 @@ impl ServerState {
     /// Propagates registry construction errors.
     pub fn with_world(config: ServeConfig, world: SyntheticWorld) -> Result<Self> {
         let graph = Arc::new(world.graph().clone());
-        Self::build(config, Some(Universe::World(Box::new(world), graph)))
+        Self::build(
+            config,
+            Some(Universe::World(Box::new(world), graph)),
+            ModelRegistry::with_builtins(),
+        )
     }
 
     /// Creates a server core around a bare follower graph: protocol
@@ -232,17 +254,24 @@ impl ServerState {
     ///
     /// Propagates registry construction errors.
     pub fn with_graph(config: ServeConfig, graph: Arc<DiGraph>) -> Result<Self> {
-        Self::build(config, Some(Universe::Graph(graph)))
+        Self::build(
+            config,
+            Some(Universe::Graph(graph)),
+            ModelRegistry::with_builtins(),
+        )
     }
 
-    fn build(config: ServeConfig, universe: Option<Universe>) -> Result<Self> {
+    fn build(
+        config: ServeConfig,
+        universe: Option<Universe>,
+        registry: ModelRegistry,
+    ) -> Result<Self> {
         if config.lineup.is_empty() {
             return Err(ServeError::InvalidParameter {
                 name: "lineup",
                 reason: "need at least one model spec".into(),
             });
         }
-        let registry = ModelRegistry::with_builtins();
         let models = config
             .lineup
             .iter()
@@ -875,27 +904,69 @@ impl ServerState {
         ]))
     }
 
-    /// The refit scheduler: one fit job per lineup model on the
-    /// work-stealing pool, outcomes cached. Already-cached fits are
-    /// replayed, not recomputed.
+    /// The refit scheduler: one fit per lineup model through
+    /// [`ServerState::resolve_fits`], outcomes cached. Already-cached
+    /// fits are replayed, not recomputed.
     fn refit(&self, observation: &Observation) {
         self.refit_jobs
             .fetch_add(self.models.len() as u64, Ordering::Relaxed);
         self.refit_metrics
             .fits_started
             .add(self.models.len() as u64);
-        let outcomes = parallel_map(self.parallelism, &self.models, |i, (spec, predictor)| {
-            let started = Instant::now();
-            let outcome = self.cache.get_or_fit(predictor.as_ref(), spec, observation);
-            // Cache hits land in the lowest buckets; the histogram is a
-            // service-time distribution, not a pure solver profile.
-            self.refit_metrics.lineup_fit[i].observe_duration(started.elapsed());
-            outcome
-        });
+        let lineup: Vec<(&str, &dyn DiffusionPredictor)> = self
+            .models
+            .iter()
+            .map(|(spec, predictor)| (spec.as_str(), predictor.as_ref()))
+            .collect();
+        let outcomes = self.resolve_fits(&lineup, observation, &self.refit_metrics.lineup_fit);
         self.refit_metrics.fits_completed.add(outcomes.len() as u64);
         self.refit_metrics
             .fit_failures
             .add(outcomes.iter().filter(|o| o.is_err()).count() as u64);
+    }
+
+    /// Resolves one fit per `(spec, predictor)`, in order, timing pick
+    /// `i` into `fit_hists[i]`. Every cache lookup runs here, on the
+    /// calling thread, and counts one hit or one miss. Closed-form
+    /// misses fit inline: microseconds, less than a thread hand-off.
+    /// Only misses whose fit searches
+    /// ([`DiffusionPredictor::fit_searches`]) fan out to the pool.
+    fn resolve_fits(
+        &self,
+        models: &[(&str, &dyn DiffusionPredictor)],
+        observation: &Observation,
+        fit_hists: &[dlm_obs::Histogram],
+    ) -> Vec<FitOutcome> {
+        let mut fits: Vec<Option<FitOutcome>> = Vec::with_capacity(models.len());
+        let mut searches: Vec<(usize, FitMiss)> = Vec::new();
+        for (i, &(spec, predictor)) in models.iter().enumerate() {
+            // Cache hits land in the lowest buckets; the histogram is a
+            // service-time distribution, not a pure solver profile.
+            let started = Instant::now();
+            let fit = match self.cache.lookup(predictor, spec, observation) {
+                FitLookup::Hit(fit) => fit,
+                FitLookup::Miss(miss) if predictor.fit_searches() => {
+                    searches.push((i, miss));
+                    fits.push(None);
+                    continue;
+                }
+                FitLookup::Miss(miss) => self.cache.fit_miss(&miss, predictor, observation),
+            };
+            fit_hists[i].observe_duration(started.elapsed());
+            fits.push(Some(fit));
+        }
+        let searched = parallel_map(self.parallelism, &searches, |_, (i, miss)| {
+            let started = Instant::now();
+            let fit = self.cache.fit_miss(miss, models[*i].1, observation);
+            fit_hists[*i].observe_duration(started.elapsed());
+            fit
+        });
+        for ((i, _), fit) in searches.iter().zip(searched) {
+            fits[*i] = Some(fit);
+        }
+        fits.into_iter()
+            .map(|fit| fit.expect("every pick resolved"))
+            .collect()
     }
 
     fn handle_forecast(
@@ -969,13 +1040,7 @@ impl ServerState {
                 Pick::Adhoc(i) => self.refit_metrics.fit_histogram(&adhoc[i].0),
             })
             .collect();
-        let fits: Vec<FitOutcome> =
-            parallel_map(self.parallelism, &selected, |i, &(spec, predictor)| {
-                let started = Instant::now();
-                let outcome = self.cache.get_or_fit(predictor, spec, &observation);
-                fit_hists[i].observe_duration(started.elapsed());
-                outcome
-            });
+        let fits = self.resolve_fits(&selected, &observation, &fit_hists);
         let mut model_entries = Vec::with_capacity(selected.len());
         for (&(spec, _), fit) in selected.iter().zip(fits) {
             let entry = match fit {
@@ -1129,11 +1194,11 @@ impl LineService for ServerState {
 }
 
 /// The TCP front end, serving one [`LineService`] (a [`ServerState`] by
-/// default; the router tier plugs in its own) through the nonblocking
+/// default; the router tier plugs in its own) through the epoll
 /// readiness reactor (the private `reactor` module): an accept loop
-/// feeding a fixed pool of nonblocking I/O workers, each multiplexing
-/// its share of the connections, so thousands of connections cost
-/// buffers, not threads. Every connection speaks JSON lines and may
+/// feeding a fixed pool of I/O workers, each blocking in its own
+/// `epoll_wait` over its share of the connections, so thousands of
+/// connections cost buffers, not threads. Every connection speaks JSON lines and may
 /// negotiate the binary framing of [`crate::wire`].
 #[derive(Debug)]
 pub struct DlmServer<S: LineService = ServerState> {
@@ -1173,7 +1238,7 @@ impl<S: LineService> DlmServer<S> {
     pub fn bind_with(addr: impl ToSocketAddrs, state: Arc<S>, io_threads: usize) -> Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let reactor = crate::reactor::spawn(listener, Arc::clone(&state), io_threads);
+        let reactor = crate::reactor::spawn(listener, Arc::clone(&state), io_threads)?;
         Ok(Self {
             addr,
             state,

@@ -179,14 +179,14 @@ pub(crate) struct ReactorWorkerMetrics {
     pub(crate) accepted: Counter,
     /// Connections currently multiplexed by this worker.
     pub(crate) active: Gauge,
-    /// Duration of non-empty readiness sweeps.
-    pub(crate) sweep: Histogram,
-    /// Inbox depth observed at the top of each sweep.
+    /// Duration of one event batch (the events one wait returned).
+    pub(crate) batch: Histogram,
+    /// Connections adopted at the last acceptor wake-up.
     pub(crate) inbox_depth: Gauge,
-    /// Idle parks taken.
-    pub(crate) parks: Counter,
-    /// Sweeps that moved bytes.
-    pub(crate) wakes: Counter,
+    /// Blocking waits (`epoll_wait` calls).
+    pub(crate) waits: Counter,
+    /// Connection readiness events handled.
+    pub(crate) events: Counter,
 }
 
 impl ReactorWorkerMetrics {
@@ -196,10 +196,10 @@ impl ReactorWorkerMetrics {
         Self {
             accepted: registry.counter("dlm_reactor_accepted_total", &labels),
             active: registry.gauge("dlm_reactor_active_connections", &labels),
-            sweep: registry.histogram("dlm_reactor_sweep_micros", &labels),
+            batch: registry.histogram("dlm_reactor_sweep_micros", &labels),
             inbox_depth: registry.gauge("dlm_reactor_inbox_depth", &labels),
-            parks: registry.counter("dlm_reactor_parks_total", &labels),
-            wakes: registry.counter("dlm_reactor_wakes_total", &labels),
+            waits: registry.counter("dlm_reactor_parks_total", &labels),
+            events: registry.counter("dlm_reactor_wakes_total", &labels),
         }
     }
 }

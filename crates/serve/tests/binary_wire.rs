@@ -410,6 +410,128 @@ fn hostile_wire_input_never_takes_the_server_down() {
     server.shutdown();
 }
 
+/// 20 000 requests written back to back on one connection, some
+/// CRLF-terminated, come back in order and byte-identical to an
+/// in-process replay: the reactor cuts every request out of one
+/// growing receive buffer.
+#[test]
+fn twenty_thousand_pipelined_lines_answer_in_order() {
+    let votes = story_votes();
+    let mut lines = vec![format!(
+        r#"{{"type":"open","cascade":"x","story":1,"horizon":{HORIZON}}}"#
+    )];
+    for i in 0..20_000 {
+        let (ts, voter) = votes[(i / 4) % votes.len()];
+        lines.push(match i % 4 {
+            0 | 2 => format!(r#"{{"type":"ingest","cascade":"x","votes":[[{ts},{voter}]]}}"#),
+            1 => r#"{"type":"stats"}"#.to_owned(),
+            _ => r#"{"type":"forecast","cascade":"x","hours":[3],"through":2}"#.to_owned(),
+        });
+    }
+    let oracle = naive_state();
+    let expected: Vec<String> = lines.iter().map(|line| oracle.handle_line(line)).collect();
+
+    let mut server = DlmServer::bind("127.0.0.1:0", naive_state()).expect("bind");
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .expect("timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    let payload: Vec<u8> = lines
+        .iter()
+        .enumerate()
+        .flat_map(|(i, line)| {
+            let end: &[u8] = if i % 3 == 0 { b"\r\n" } else { b"\n" };
+            line.bytes().chain(end.iter().copied())
+        })
+        .collect();
+    let sender = std::thread::spawn(move || writer.write_all(&payload).expect("pipelined write"));
+    let mut reader = BufReader::new(stream);
+    for (i, want) in expected.iter().enumerate() {
+        let mut got = String::new();
+        std::io::BufRead::read_line(&mut reader, &mut got).expect("response line");
+        assert_eq!(got.trim_end_matches('\n'), want, "response {i}");
+    }
+    sender.join().expect("sender thread");
+    server.shutdown();
+}
+
+/// A client that pipelines far more response bytes than the socket
+/// buffers hold, never reading, then half-closes, still receives every
+/// response byte-identical and then EOF: the server keeps reading while
+/// its responses queue, watches for writability only while bytes are
+/// queued, and after the peer's EOF flushes before hanging up.
+#[test]
+fn unread_responses_past_the_socket_buffers_flush_after_a_half_close() {
+    let votes = story_votes();
+    let setup = request_stream(&votes);
+    let snapshot = r#"{"type":"snapshot","cascade":"x"}"#;
+    let oracle = naive_state();
+    let mut requests = String::new();
+    let mut expected: Vec<u8> = Vec::new();
+    for line in &setup {
+        requests.push_str(line);
+        requests.push('\n');
+        expected.extend_from_slice(oracle.handle_line(line).as_bytes());
+        expected.push(b'\n');
+    }
+    // Snapshots do not change state, so every copy answers the same.
+    let snapshot_response = oracle.handle_line(snapshot);
+    // Loopback buffers hold a few MiB when the receiver never reads.
+    let repeats = (16 << 20) / (snapshot_response.len() + 1) + 1;
+    for _ in 0..repeats {
+        requests.push_str(snapshot);
+        requests.push('\n');
+        expected.extend_from_slice(snapshot_response.as_bytes());
+        expected.push(b'\n');
+    }
+
+    let mut server = DlmServer::bind("127.0.0.1:0", naive_state()).expect("bind");
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .expect("timeout");
+    stream
+        .write_all(requests.as_bytes())
+        .expect("pipelined write");
+    stream
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    let mut received = Vec::with_capacity(expected.len());
+    std::io::Read::read_to_end(&mut stream, &mut received).expect("read to EOF");
+    assert_eq!(received.len(), expected.len());
+    assert!(received == expected, "responses diverged from the oracle");
+    server.shutdown();
+}
+
+/// Shutdown wakes workers blocked on idle connections at once and
+/// closes every connection.
+#[test]
+fn shutdown_with_two_hundred_idle_connections_is_prompt() {
+    let mut server = DlmServer::bind("127.0.0.1:0", naive_state()).expect("bind");
+    let addr = server.local_addr();
+    let idle: Vec<TcpStream> = (0..200)
+        .map(|_| TcpStream::connect(addr).expect("connect"))
+        .collect();
+    server_answers(addr);
+    let started = std::time::Instant::now();
+    server.shutdown();
+    let took = started.elapsed();
+    assert!(
+        took < std::time::Duration::from_secs(2),
+        "shutdown took {took:?}"
+    );
+    for mut conn in idle {
+        conn.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .expect("timeout");
+        match std::io::Read::read(&mut conn, &mut [0u8; 1]) {
+            Ok(0) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+            other => panic!("idle connection still open after shutdown: {other:?}"),
+        }
+    }
+}
+
 /// Random (offset, voter) votes over the horizon, sorted by timestamp
 /// so no grouping can trip late-vote rejection differently.
 fn votes_strategy() -> impl Strategy<Value = Vec<(u64, usize)>> {

@@ -7,14 +7,16 @@
 
 use dlm_cascade::hops::hop_density_matrix;
 use dlm_core::evaluate::{EvaluationCase, EvaluationPipeline, Parallelism};
-use dlm_core::predict::GraphContext;
+use dlm_core::predict::{
+    DiffusionPredictor, FittedPredictor, GraphContext, Observation, PredictionRequest,
+};
 use dlm_core::registry::{ModelRegistry, ModelSpec};
-use dlm_core::PredictionRequest;
+use dlm_core::zoo::NaivePredictor;
 use dlm_data::simulate::simulate_story;
 use dlm_data::{SimulationConfig, StoryPreset, SyntheticWorld, WorldConfig};
 use dlm_serve::server::{DlmServer, ServeConfig, ServerState};
-use dlm_serve::{Json, LineClient};
-use std::sync::Arc;
+use dlm_serve::{Json, LineClient, LiveCascade};
+use std::sync::{Arc, Mutex};
 
 const MAX_HOPS: u32 = 4;
 const HORIZON: u32 = 6;
@@ -971,6 +973,129 @@ fn hour_one_keyed_models_fit_once_per_cascade_while_forecasts_track_every_hour()
                 u64::from(hour)
             };
             assert_eq!(misses, expected, "{spec} after hour {hour}");
+        }
+    }
+}
+
+/// A predictor that records which thread ran each of its fits, then
+/// fits like `naive`.
+#[derive(Debug)]
+struct ThreadProbe {
+    searches: bool,
+    fits: Arc<Mutex<Vec<std::thread::Thread>>>,
+}
+
+impl DiffusionPredictor for ThreadProbe {
+    fn name(&self) -> &'static str {
+        "probe"
+    }
+
+    fn fit(&self, observation: &Observation) -> dlm_core::Result<Box<dyn FittedPredictor>> {
+        self.fits.lock().unwrap().push(std::thread::current());
+        NaivePredictor.fit(observation)
+    }
+
+    fn fit_searches(&self) -> bool {
+        self.searches
+    }
+}
+
+/// Serves `lineup` with every spec kind in it built as a [`ThreadProbe`]
+/// (searching when `searches`), closes hours 1..=3 of a small cascade
+/// through `ingest`, forecasts, checks every response is ok and every
+/// model forecast, and returns each kind's fit threads.
+fn probe_fit_threads(
+    lineup: &[ModelSpec],
+    searches: bool,
+) -> Vec<(&'static str, Vec<std::thread::Thread>)> {
+    let mut registry = ModelRegistry::with_builtins();
+    let mut probes = Vec::new();
+    for spec in lineup {
+        let fits = Arc::new(Mutex::new(Vec::new()));
+        let probe_fits = Arc::clone(&fits);
+        registry.register(spec.kind(), move |_| {
+            Ok(Box::new(ThreadProbe {
+                searches,
+                fits: Arc::clone(&probe_fits),
+            }) as Box<dyn DiffusionPredictor>)
+        });
+        probes.push((spec.kind(), fits));
+    }
+    let state = ServerState::with_registry(
+        ServeConfig {
+            lineup: lineup.to_vec(),
+            parallelism: Parallelism::Fixed(2),
+            ..ServeConfig::default()
+        },
+        registry,
+    )
+    .unwrap();
+    let groups = vec![vec![1, 2, 3, 4], vec![5, 6, 7, 8, 9]];
+    state
+        .insert_cascade("c", LiveCascade::new(&groups, 0, 4).unwrap(), None)
+        .unwrap();
+    let send = |line: &str| -> Json {
+        let response = Json::parse(&state.handle_line(line)).unwrap();
+        assert_eq!(
+            response.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "{response}"
+        );
+        response
+    };
+    for (hour, voters) in [(1u64, [1, 5]), (2, [2, 6]), (3, [3, 7])] {
+        let votes: Vec<String> = voters
+            .iter()
+            .map(|v| format!("[{},{v}]", (hour - 1) * 3600 + 10))
+            .collect();
+        send(&format!(
+            r#"{{"type":"ingest","cascade":"c","votes":[{}],"now":{}}}"#,
+            votes.join(","),
+            hour * 3600
+        ));
+    }
+    let forecast = send(r#"{"type":"forecast","cascade":"c","hours":[4],"through":3}"#);
+    let models = forecast.get("models").unwrap().as_array().unwrap();
+    assert_eq!(models.len(), lineup.len());
+    for model in models {
+        assert!(model.get("values").is_some(), "{model}");
+    }
+    probes
+        .into_iter()
+        .map(|(kind, fits)| (kind, fits.lock().unwrap().clone()))
+        .collect()
+}
+
+/// Closed-form fits run on the thread that handles the request, even
+/// under a parallel setting: a hand-off would cost more than the fit.
+#[test]
+fn closed_form_fits_run_on_the_calling_thread() {
+    let caller = std::thread::current().id();
+    for (kind, threads) in probe_fit_threads(&[ModelSpec::Naive, ModelSpec::LinearTrend], false) {
+        // One fit per closed hour; the forecast replays hour 3's.
+        assert_eq!(threads.len(), 3, "{kind}");
+        for thread in threads {
+            assert_eq!(thread.id(), caller, "{kind} fit off the calling thread");
+        }
+    }
+}
+
+/// Searched fits fan out to the pool, and every one completes: each
+/// hour close fits both models, on the caller or on a pool helper.
+#[test]
+fn two_searched_misses_both_fit_to_completion() {
+    let caller = std::thread::current().id();
+    let lineup: Vec<ModelSpec> = ModelSpec::default_lineup()
+        .into_iter()
+        .filter(|s| matches!(s.kind(), "dl-cal" | "variable-dl"))
+        .collect();
+    assert_eq!(lineup.len(), 2);
+    for (kind, threads) in probe_fit_threads(&lineup, true) {
+        assert_eq!(threads.len(), 3, "{kind}");
+        for thread in threads {
+            let pooled =
+                thread.id() == caller || thread.name().is_some_and(|n| n.starts_with("dlm-pool-"));
+            assert!(pooled, "{kind} fit on {thread:?}, outside the pool");
         }
     }
 }

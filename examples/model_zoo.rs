@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // The full default line-up: all seven predictor kinds, one call. The
-    // grid runs work-stealing parallel (Parallelism::Auto is the default
+    // grid runs in parallel (Parallelism::Auto is the default
     // and byte-identical to Serial); re-running the pipeline replays the
     // fitted-model cache.
     let pipeline = EvaluationPipeline::full_lineup().parallelism(Parallelism::Auto);

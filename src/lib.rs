@@ -16,7 +16,7 @@
 //!   [`core::predict::DiffusionPredictor`] trait implemented by all seven
 //!   predictors, the serializable [`core::registry::ModelSpec`] +
 //!   [`core::registry::ModelRegistry`], and the batch
-//!   [`core::evaluate::EvaluationPipeline`] — work-stealing parallel over
+//!   [`core::evaluate::EvaluationPipeline`] — parallel over
 //!   the models × cases grid (see [`core::evaluate::Parallelism`]) with a
 //!   bounded LRU fitted-model cache, byte-identical to its serial path;
 //! * [`serve`] — the online forecasting service: streaming ingestion
